@@ -380,8 +380,9 @@ def validate_target(
 class SubDensity:
     """Absorbed transition density of the hitting process at one knot time.
 
-    Nodes are spatial quadrature abscissae strictly inside the alive region;
-    the weighted sum of values is the survival probability.
+    Nodes are spatial quadrature abscissae strictly inside the alive region,
+    in increasing order; the weighted sum of values is the survival
+    probability.
     """
 
     time: float
@@ -395,6 +396,8 @@ class SubDensity:
         values = np.asarray(self.values, dtype=float)
         if not (nodes.shape == weights.shape == values.shape):
             raise ValueError("nodes, weights and values must share one shape")
+        if np.any(np.diff(nodes) < 0.0):
+            raise ValueError("nodes must be in increasing order")
         if values.size and float(values.min()) < -1e-12:
             raise ValueError(f"negative density value {values.min():g}")
         values = _readonly(np.maximum(values, 0.0))

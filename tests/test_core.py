@@ -183,6 +183,11 @@ class TestSubDensity:
         with pytest.raises(ValueError):
             SubDensity(time=0.5, nodes=x, weights=w, values=np.array([2.0, 2.0]))
 
+    def test_rejects_unsorted_nodes(self):
+        w = np.array([0.5, 0.5])
+        with pytest.raises(ValueError):
+            SubDensity(time=0.5, nodes=np.array([0.5, 0.0]), weights=w, values=w)
+
     def test_immutable_arrays(self):
         s = SubDensity(
             time=0.5,

@@ -24,7 +24,8 @@ from ifpt import (
 )
 from ifpt.core import NumericalConsistencyError
 from ifpt.forward import (
-    _kernel_matrix_upper,
+    _band_strip,
+    _propagate_upper,
     block_crossing_symmetric,
     block_crossing_upper,
     block_survival_symmetric,
@@ -46,7 +47,7 @@ class TestQuadratureConfig:
             QuadratureConfig(nodes_per_block=4)
         with pytest.raises(ValueError):
             QuadratureConfig(truncation_width=2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             QuadratureConfig(panel_rule="simpson")
 
 
@@ -64,8 +65,8 @@ class TestInitSubdensity:
         assert state.survival == pytest.approx(expect, abs=1e-12)
 
     def test_kernel_vanishes_at_boundary(self):
-        val = _kernel_matrix_upper(np.zeros(1), np.array([1.0]), 1.0, 1.0, 0.5)
-        assert val[0, 0] == 0.0
+        val = _propagate_upper(np.zeros(1), np.ones(1), np.array([1.0]), 1.0, 1.0, 0.5)
+        assert val[0] == 0.0
 
     def test_sloped_first_segment(self):
         grid = DyadicGrid(1.0, 1)
@@ -273,6 +274,78 @@ class TestResidualDiagnostic:
         assert residual_fgkey(b, d, 1, CFG) == pytest.approx(-target_avg, abs=1e-12)
 
 
+def _dense_upper(x_in, mass_in, x_out, g0, g1, dt):
+    # the one-sided kernel written out in full from the literal formula
+    bridge = 1.0 - np.exp(-2.0 * np.outer(g1 - x_out, g0 - x_in) / dt)
+    gauss = np.exp(-np.square(x_out[:, None] - x_in[None, :]) / (2.0 * dt))
+    return (bridge * gauss / math.sqrt(2.0 * math.pi * dt)) @ mass_in
+
+
+def _recorded_table(b, kernel, monkeypatch):
+    """Distribution table of ``b`` with ``kernel`` propagating the upper side,
+    and every density the kernel returned on the way."""
+    import ifpt.forward as fw
+
+    values = []
+
+    def record(*args):
+        values.append(kernel(*args))
+        return values[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(fw, "_propagate_upper", record)
+        table = fpt_distribution_table(b, CFG)
+    return values, table
+
+
+class TestBandedPropagation:
+    """The banded upper-side propagation against the dense kernel."""
+
+    def assert_matches_dense(self, b, monkeypatch):
+        values, table = _recorded_table(b, _propagate_upper, monkeypatch)
+        dense_values, dense_table = _recorded_table(b, _dense_upper, monkeypatch)
+        assert len(values) == b.grid.blocks
+        for got, ref in zip(values, dense_values, strict=True):
+            assert np.max(np.abs(got - ref), initial=0.0) <= 1e-13
+        assert np.max(np.abs(table.block_masses - dense_table.block_masses)) <= 1e-13
+
+    @pytest.mark.parametrize("level", range(2, 9))
+    def test_solved_exponential_boundary(self, level, monkeypatch):
+        from ifpt import SolverConfig, construct_boundary
+
+        sol = construct_boundary(
+            exponential_target(1.0), 1.0, level, BoundarySide.UPPER_ONLY, SolverConfig()
+        )
+        self.assert_matches_dense(sol.boundary, monkeypatch)
+
+    def test_boundary_dipping_below_zero(self, monkeypatch):
+        grid = DyadicGrid(1.0, 6)
+        b = PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, grid, 0.8 - 2.0 * grid.knots)
+        assert b.knot_values[-1] < 0.0
+        self.assert_matches_dense(b, monkeypatch)
+
+    def test_steep_slopes(self, monkeypatch):
+        # alternating slopes of +-48 on blocks of width 1/32
+        grid = DyadicGrid(1.0, 5)
+        knots = np.where(np.arange(grid.blocks + 1) % 2 == 0, 0.5, 2.0)
+        b = PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, grid, knots)
+        self.assert_matches_dense(b, monkeypatch)
+
+    def test_band_is_narrow_at_level_10(self):
+        # the widest blocks are the last ones; their node sets depend only on
+        # the window, so two steps from a point mass reach them
+        dt = 2.0**-10
+        side = BoundarySide.UPPER_ONLY
+        point = SubDensity(
+            time=1.0 - 2.0 * dt, nodes=np.zeros(1), weights=np.ones(1), values=np.ones(1)
+        )
+        before = propagated_subdensity(point, 1.0, 1.0, dt, side, CFG)
+        after = propagated_subdensity(before, 1.0, 1.0, dt, side, CFG)
+        idx, inside = _band_strip(before.nodes, after.nodes, dt)
+        assert inside.any(axis=1).all()
+        assert idx.shape[1] < before.nodes.size / 4
+
+
 class TestConsistencyGuards:
     def test_survival_increase_detected(self, monkeypatch):
         # propagation is a contraction for any valid kernel, so force a bad
@@ -281,7 +354,7 @@ class TestConsistencyGuards:
 
         b = const_boundary(BoundarySide.UPPER_ONLY, 2, value=0.5)
         state = init_subdensity(b, CFG)
-        real = fw._kernel_matrix_upper
-        monkeypatch.setattr(fw, "_kernel_matrix_upper", lambda *a: 1.5 * real(*a))
+        real = fw._propagate_upper
+        monkeypatch.setattr(fw, "_propagate_upper", lambda *a: 1.5 * real(*a))
         with pytest.raises(NumericalConsistencyError):
             propagate_subdensity(state, b, CFG)
