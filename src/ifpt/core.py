@@ -26,7 +26,6 @@ __all__ = [
     "BoundarySide",
     "DyadicGrid",
     "PiecewiseLinearBoundary",
-    "eval_boundary",
     "TargetDistribution",
     "exponential_target",
     "uniform_target",
@@ -175,11 +174,6 @@ class PiecewiseLinearBoundary:
             return float("-inf") if t_arr.ndim == 0 else np.full(t_arr.shape, -np.inf)
         neg = self.upper(t)
         return -neg
-
-
-def eval_boundary(b: PiecewiseLinearBoundary, t):
-    """Return the (lower, upper) boundary pair at time t."""
-    return b.lower(t), b.upper(t)
 
 
 DensityFn = Callable[[np.ndarray], np.ndarray]

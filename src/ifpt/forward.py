@@ -11,13 +11,20 @@ banded, O(nodes * band): each output node sums only the input nodes within
 kernel never exceeds the free Gaussian, so every dropped entry is below
 exp(-c**2/2) of the kernel's peak (about 2.6e-18 for c = 9) and the mass
 dropped per block is at most 2*Phi(-c) (about 2.3e-19) of the survival.
-The symmetric corridor still builds its dense O(nodes**2) image-series
-matrix.
+The symmetric corridor still builds its dense O(nodes**2) matrix.
+
+Every corridor quantity (block survival and crossing, the bridge crossing
+factor and the propagation kernel) is a sum over the image pairs
+k = 0, +-1, +-2, ... of Anderson (1960), taken by the one loop in
+:func:`_image_series`.  The first knot's density is one propagation step
+from a unit point mass at the origin.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +42,9 @@ from .core import (
 
 __all__ = [
     "QuadratureConfig",
-    "init_subdensity",
-    "propagate_subdensity",
     "initial_subdensity",
     "propagated_subdensity",
+    "subdensities",
     "survival_probability",
     "block_crossing_probability",
     "crossing_mass",
@@ -64,7 +70,7 @@ _PANEL_SIGMAS = 3.0
 #: width); kernel entries beyond it are below exp(-81/2) of the peak.
 _BAND_SIGMAS = 9.0
 
-#: Image-term budget for the symmetric corridor kernels.
+#: Largest |k| the corridor image series (:func:`_image_series`) may reach.
 _IMAGE_MAX = 256
 
 #: Slack allowed on the survival-monotonicity consistency check.
@@ -200,28 +206,33 @@ def _log_phi_diff(lo, hi):
     return np.where(bot == top, -np.inf, out)
 
 
-def _sym_image_sum(x, u0, u1, dt, make_pos, make_neg):
-    """Accumulate image pairs until they stop contributing."""
-    x = np.asarray(x, dtype=float)
-    pos_total = np.zeros_like(x)
-    neg_total = np.zeros_like(x)
-    peak = 0.0
+def _image_series(x0, u0: float, u1: float, dt: float, image, peak: float = 0.0):
+    """Sum ``p - q`` over the image pairs k = 0, +-1, +-2, ... of the corridor,
+    where the arrays ``p, q = image(k, *_sym_coeffs(x0, u0, u1, dt, k))``.
+
+    Stops once the pairs of one |k| add at most 1e-16 of the largest term
+    seen so far (``peak`` seeds that maximum).  Each pair is used up before
+    the next is requested, so ``image`` may reuse its output buffers.
+    """
+    total = 0.0
     for k in range(0, _IMAGE_MAX + 1):
         inc = 0.0
         for kk in ((k,) if k == 0 else (k, -k)):
-            la, mean_a, lb, mean_b = _sym_coeffs(x, u0, u1, dt, kk)
-            p = make_pos(la, mean_a)
-            q = make_neg(lb, mean_b)
-            pos_total += p
-            neg_total += q
-            inc = max(inc, float(np.max(p, initial=0.0)), float(np.max(q, initial=0.0)))
+            p, q = image(kk, *_sym_coeffs(x0, u0, u1, dt, kk))
+            total += p - q
+            inc = max(inc, float(p.max(initial=0.0)), float(q.max(initial=0.0)))
         peak = max(peak, inc)
         if k >= 1 and inc <= 1e-16 * peak:
-            return pos_total, neg_total
+            return total
     raise ConvergenceError(
         "image expansion for the symmetric corridor did not converge "
         f"within {_IMAGE_MAX} terms (corridor nearly pinched: u0={u0:g}, u1={u1:g})"
     )
+
+
+def _phi_diff(logw, mean, u1: float, s: float):
+    """Mass exp(logw) * P(-u1 < N(mean, s**2) < u1) of one Gaussian image."""
+    return np.exp(logw + _log_phi_diff((-u1 - mean) / s, (u1 - mean) / s))
 
 
 def block_survival_symmetric(x, u0: float, u1: float, dt: float):
@@ -231,49 +242,29 @@ def block_survival_symmetric(x, u0: float, u1: float, dt: float):
         return np.zeros_like(x)
     s = math.sqrt(dt)
 
-    def phi_diff(logw, mean):
-        return np.exp(logw + _log_phi_diff((-u1 - mean) / s, (u1 - mean) / s))
+    def image(k, la, mean_a, lb, mean_b):
+        return _phi_diff(la, mean_a, u1, s), _phi_diff(lb, mean_b, u1, s)
 
-    pos_total, neg_total = _sym_image_sum(x, u0, u1, dt, phi_diff, phi_diff)
-    return np.clip(pos_total - neg_total, 0.0, 1.0)
+    return np.clip(_image_series(x, u0, u1, dt, image), 0.0, 1.0)
 
 
 def block_crossing_symmetric(x, u0: float, u1: float, dt: float):
-    """Exact complement of :func:`block_survival_symmetric`; the base image
-    contributes its two endpoint tails, keeping tiny results accurate."""
+    """Exact complement of :func:`block_survival_symmetric`; the direct k = 0
+    image enters only through its two endpoint tails, keeping tiny results
+    accurate."""
     x = np.asarray(x, dtype=float)
     if u1 <= 0.0:
         return np.ones_like(x)
     s = math.sqrt(dt)
     base = ndtr((-u1 - x) / s) + ndtr((x - u1) / s)
 
-    def phi_diff(logw, mean):
-        return np.exp(logw + _log_phi_diff((-u1 - mean) / s, (u1 - mean) / s))
+    # reflected minus direct images, the direct k = 0 one being ``base``
+    def image(k, la, mean_a, lb, mean_b):
+        direct = np.zeros_like(x) if k == 0 else _phi_diff(la, mean_a, u1, s)
+        return _phi_diff(lb, mean_b, u1, s), direct
 
-    # accumulate manually: the k = 0 positive term is folded into ``base``
-    pos_total = np.zeros_like(x)
-    neg_total = np.zeros_like(x)
-    peak = 0.0
-    for k in range(0, _IMAGE_MAX + 1):
-        inc = 0.0
-        for kk in ((k,) if k == 0 else (k, -k)):
-            la, mean_a, lb, mean_b = _sym_coeffs(x, u0, u1, dt, kk)
-            q = phi_diff(lb, mean_b)
-            neg_total += q
-            inc = max(inc, float(np.max(q, initial=0.0)))
-            if kk != 0:
-                p = phi_diff(la, mean_a)
-                pos_total += p
-                inc = max(inc, float(np.max(p, initial=0.0)))
-        peak = max(peak, inc, float(np.max(base, initial=0.0)))
-        if k >= 1 and inc <= 1e-16 * peak:
-            break
-    else:
-        raise ConvergenceError(
-            "image expansion for the symmetric corridor did not converge "
-            f"within {_IMAGE_MAX} terms (corridor nearly pinched: u0={u0:g}, u1={u1:g})"
-        )
-    return np.clip(base + neg_total - pos_total, 0.0, 1.0)
+    images = _image_series(x, u0, u1, dt, image, peak=float(np.max(base, initial=0.0)))
+    return np.clip(base + images, 0.0, 1.0)
 
 
 def bridge_crossing_symmetric(x0, x1, u0: float, u1: float, dt: float):
@@ -282,23 +273,15 @@ def bridge_crossing_symmetric(x0, x1, u0: float, u1: float, dt: float):
     x1 = np.asarray(x1, dtype=float)
     if u1 <= 0.0 or u0 <= 0.0:
         return np.ones(np.broadcast(x0, x1).shape)
-    v = x1 - x0
-    ncp = np.zeros(np.broadcast(x0, x1).shape)
-    peak = 0.0
-    for k in range(0, _IMAGE_MAX + 1):
-        inc = 0.0
-        for kk in ((k,) if k == 0 else (k, -k)):
-            la, mean_a, lb, mean_b = _sym_coeffs(x0, u0, u1, dt, kk)
-            p = np.exp(la + (v**2 - (x1 - mean_a) ** 2) / (2.0 * dt))
-            q = np.exp(lb + (v**2 - (x1 - mean_b) ** 2) / (2.0 * dt))
-            ncp += p - q
-            inc = max(inc, float(np.max(p, initial=0.0)), float(np.max(q, initial=0.0)))
-        peak = max(peak, inc)
-        if k >= 1 and inc <= 1e-16 * peak:
-            break
-    else:
-        raise ConvergenceError("bridge image expansion did not converge")
-    return np.clip(1.0 - ncp, 0.0, 1.0)
+    v2 = (x1 - x0) ** 2
+
+    def image(k, la, mean_a, lb, mean_b):
+        return (
+            np.exp(la + (v2 - (x1 - mean_a) ** 2) / (2.0 * dt)),
+            np.exp(lb + (v2 - (x1 - mean_b) ** 2) / (2.0 * dt)),
+        )
+
+    return np.clip(1.0 - _image_series(x0, u0, u1, dt, image), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -337,24 +320,28 @@ def _propagate_upper(
 
 
 def _kernel_matrix_symmetric(x_in, x_out, u0: float, u1: float, dt: float) -> np.ndarray:
+    """Dense (n_out x n_in) corridor kernel from the image series."""
     diff = x_out[:, None] - x_in[None, :]
     ssum = x_out[:, None] + x_in[None, :]
-    out = np.zeros_like(diff)
-    peak = 0.0
-    for k in range(0, _IMAGE_MAX + 1):
-        inc = 0.0
-        for kk in ((k,) if k == 0 else (k, -k)):
-            la, _, lb, _ = _sym_coeffs(x_in, u0, u1, dt, kk)
-            p = np.exp(la[None, :] - np.square(diff - 4.0 * kk * u0) / (2.0 * dt))
-            q = np.exp(lb[None, :] - np.square(ssum - 2.0 * u0 + 4.0 * kk * u0) / (2.0 * dt))
-            out += p - q
-            inc = max(inc, float(p.max(initial=0.0)), float(q.max(initial=0.0)))
-        peak = max(peak, inc)
-        if k >= 1 and inc <= 1e-16 * peak:
-            break
-    else:
-        raise ConvergenceError("kernel image expansion did not converge")
-    return out / math.sqrt(2.0 * math.pi * dt)
+    direct, reflected = np.empty_like(diff), np.empty_like(diff)
+
+    def gauss(out, logw):
+        # exp(logw - out**2 / (2 dt)), in place
+        np.square(out, out=out)
+        out /= 2.0 * dt
+        np.subtract(logw[None, :], out, out=out)
+        return np.exp(out, out=out)
+
+    # The series consumes each pair before it asks for the next, so all pairs
+    # share two buffers; a fresh pair of matrices per term made glibc trim and
+    # re-fault the heap on every call (3x the page faults on a symmetric ladder).
+    def image(k, la, mean_a, lb, mean_b):
+        np.subtract(diff, 4.0 * k * u0, out=direct)
+        np.subtract(ssum, 2.0 * u0, out=reflected)
+        np.add(reflected, 4.0 * k * u0, out=reflected)
+        return gauss(direct, la), gauss(reflected, lb)
+
+    return _image_series(x_in, u0, u1, dt, image) / math.sqrt(2.0 * math.pi * dt)
 
 
 # ---------------------------------------------------------------------------
@@ -366,26 +353,40 @@ def _empty_state(t: float) -> SubDensity:
     return SubDensity(time=t, nodes=z, weights=z, values=z)
 
 
-def initial_subdensity(
-    g0: float, g1: float, t1: float, side: BoundarySide, cfg: QuadratureConfig
+def _step(
+    x_in: np.ndarray,
+    mass_in: np.ndarray,
+    t1: float,
+    g0: float,
+    g1: float,
+    dt: float,
+    side: BoundarySide,
+    cfg: QuadratureConfig,
 ) -> SubDensity:
-    """Absorbed density at the first knot for a linear first segment g0 -> g1."""
-    if g0 <= 0.0:
-        raise ValueError("boundary must start strictly above the origin")
+    """Absorbed density at time ``t1`` after one block of width ``dt`` with
+    boundary values g0 -> g1, from point masses ``mass_in`` at ``x_in``."""
     window = _alive_interval(side, g1, t1, cfg)
     if window is None:
         return _empty_state(t1)
     lo, hi = window
     x, w = _nodes_weights(
-        lo, hi, t1, cfg,
-        grade_lo=side is BoundarySide.SYMMETRIC and lo == -g1,
-        grade_hi=hi == g1,
+        lo, hi, dt, cfg, grade_lo=side is BoundarySide.SYMMETRIC and lo == -g1, grade_hi=hi == g1
     )
     if side is BoundarySide.UPPER_ONLY:
-        vals = _propagate_upper(np.zeros(1), np.ones(1), x, g0, g1, t1)
+        vals = _propagate_upper(x_in, mass_in, x, g0, g1, dt)
     else:
-        vals = _kernel_matrix_symmetric(np.zeros(1), x, g0, g1, t1)[:, 0]
+        vals = _kernel_matrix_symmetric(x_in, x, g0, g1, dt) @ mass_in
     return SubDensity(time=t1, nodes=x, weights=w, values=vals)
+
+
+def initial_subdensity(
+    g0: float, g1: float, t1: float, side: BoundarySide, cfg: QuadratureConfig
+) -> SubDensity:
+    """Absorbed density at the first knot for a linear first segment g0 -> g1:
+    one block from a unit point mass at the origin."""
+    if g0 <= 0.0:
+        raise ValueError("boundary must start strictly above the origin")
+    return _step(np.zeros(1), np.ones(1), t1, g0, g1, t1, side, cfg)
 
 
 def propagated_subdensity(
@@ -401,19 +402,7 @@ def propagated_subdensity(
     t1 = state.time + dt
     if state.nodes.size == 0:
         return _empty_state(t1)
-    window = _alive_interval(side, g1, t1, cfg)
-    if window is None:
-        return _empty_state(t1)
-    lo, hi = window
-    x, w = _nodes_weights(
-        lo, hi, dt, cfg, grade_lo=side is BoundarySide.SYMMETRIC and lo == -g1, grade_hi=hi == g1
-    )
-    mass = state.weights * state.values
-    if side is BoundarySide.UPPER_ONLY:
-        vals = _propagate_upper(state.nodes, mass, x, g0, g1, dt)
-    else:
-        vals = _kernel_matrix_symmetric(state.nodes, x, g0, g1, dt) @ mass
-    out = SubDensity(time=t1, nodes=x, weights=w, values=vals)
+    out = _step(state.nodes, state.weights * state.values, t1, g0, g1, dt, side, cfg)
     if out.survival > state.survival + _SURVIVAL_SLACK:
         raise NumericalConsistencyError(
             f"survival increased across block ending at t={t1:g}: "
@@ -422,32 +411,19 @@ def propagated_subdensity(
     return out
 
 
-def init_subdensity(b: PiecewiseLinearBoundary, cfg: QuadratureConfig) -> SubDensity:
-    """Absorbed density at the first knot of the boundary's grid."""
-    t1 = b.grid.knot(1)
-    return initial_subdensity(float(b.knot_values[0]), float(b.knot_values[1]), t1, b.side, cfg)
-
-
-def propagate_subdensity(
-    p: SubDensity, b: PiecewiseLinearBoundary, cfg: QuadratureConfig
-) -> SubDensity:
-    """Advance the state from its knot to the next one along ``b``."""
+def subdensities(b: PiecewiseLinearBoundary, cfg: QuadratureConfig) -> Iterator[SubDensity]:
+    """Absorbed densities at knots 1, 2, ..., blocks of ``b``, one block apart."""
+    g = [float(v) for v in b.knot_values]
     dt = b.grid.block_width
-    m = int(round(p.time / dt))
-    if not math.isclose(p.time, m * dt, rel_tol=0.0, abs_tol=1e-12 * b.grid.horizon):
-        raise ValueError(f"state time {p.time} is not a knot of the boundary grid")
-    if not 1 <= m <= b.grid.blocks - 1:
-        raise ValueError(f"no block starts at knot {m}")
-    return propagated_subdensity(
-        p, float(b.knot_values[m]), float(b.knot_values[m + 1]), dt, b.side, cfg
-    )
+    state = initial_subdensity(g[0], g[1], b.grid.knot(1), b.side, cfg)
+    yield state
+    for m in range(1, b.grid.blocks):
+        state = propagated_subdensity(state, g[m], g[m + 1], dt, b.side, cfg)
+        yield state
 
 
 def _state_at(b: PiecewiseLinearBoundary, m: int, cfg: QuadratureConfig) -> SubDensity:
-    state = init_subdensity(b, cfg)
-    for _ in range(m - 1):
-        state = propagate_subdensity(state, b, cfg)
-    return state
+    return next(itertools.islice(subdensities(b, cfg), m - 1, None))
 
 
 def survival_probability(b: PiecewiseLinearBoundary, m: int, cfg: QuadratureConfig) -> float:
@@ -530,15 +506,8 @@ class FptTable:
 
 def fpt_distribution_table(b: PiecewiseLinearBoundary, cfg: QuadratureConfig) -> FptTable:
     """Tabulate cdf, block masses and block-average densities at all knots."""
-    blocks = b.grid.blocks
     dt = b.grid.block_width
-    survivals = np.empty(blocks + 1)
-    survivals[0] = 1.0
-    state = init_subdensity(b, cfg)
-    survivals[1] = state.survival
-    for m in range(1, blocks):
-        state = propagate_subdensity(state, b, cfg)
-        survivals[m + 1] = state.survival
+    survivals = np.array([1.0] + [state.survival for state in subdensities(b, cfg)])
     masses = np.concatenate([[0.0], np.maximum(-np.diff(survivals), 0.0)])
     return FptTable(
         times=b.grid.knots.copy(),
@@ -557,7 +526,7 @@ def residual_fgkey(
         raise ValueError(f"block index {m} outside 0..{b.grid.blocks - 1}")
     dt = b.grid.block_width
     if m == 0:
-        realized = 1.0 - init_subdensity(b, cfg).survival
+        realized = 1.0 - next(subdensities(b, cfg)).survival
     else:
         state = _state_at(b, m, cfg)
         realized = block_crossing_probability(b, float(b.slopes[m]), m, cfg, state=state)

@@ -214,8 +214,7 @@ def _survival_tensor(b: PiecewiseLinearBoundary, j: int, cfg: QuadratureConfig) 
     if b.side is BoundarySide.UPPER_ONLY:
         kernel = _kernel_upper_literal
     else:
-        def kernel(x_in, x_out, g0, g1, step):
-            return _kernel_matrix_symmetric(x_in, x_out, g0, g1, step)
+        kernel = _kernel_matrix_symmetric
 
     # materialize the full product integrand (sliced along the first axis to
     # bound memory) and sum against the tensor-product weights

@@ -89,6 +89,13 @@ class TestForwardCommand:
         bad.write_text("t,upper,lower\n0,not_a_number,-inf\n")
         assert run("forward", "--boundary", bad, "--out", tmp_path) == 2
 
+    def test_pinched_corridor_exits_3(self, tmp_path, capsys):
+        # the image series for a corridor closing from 1 to 1e-7 exceeds its budget
+        pinched = tmp_path / "pinched.csv"
+        pinched.write_text("t,upper,lower\n0,1,-1\n0.5,1e-7,-1e-7\n1,1e-7,-1e-7\n")
+        assert run("forward", "--boundary", pinched, "--out", tmp_path) == 3
+        assert "corridor nearly pinched" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_writes_empirical_csv(self, tmp_path):

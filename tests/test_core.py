@@ -10,7 +10,6 @@ from ifpt import (
     TargetDistribution,
     ValidationError,
     block_mass,
-    eval_boundary,
     exponential_target,
     read_boundary_csv,
     read_target_csv,
@@ -57,13 +56,13 @@ class TestDyadicGrid:
 class TestBoundary:
     def test_constant_upper_eval(self):
         b = make_boundary(BoundarySide.UPPER_ONLY, 3, np.ones(9))
-        lo, up = eval_boundary(b, 0.37)
+        lo, up = b.lower(0.37), b.upper(0.37)
         assert lo == float("-inf")
         assert up == 1.0
 
     def test_symmetric_midpoint(self):
         b = make_boundary(BoundarySide.SYMMETRIC, 1, [1.0, 1.25, 1.5])
-        lo, up = eval_boundary(b, 0.5)
+        lo, up = b.lower(0.5), b.upper(0.5)
         assert up == pytest.approx(1.25)
         assert lo == pytest.approx(-1.25)
 
@@ -77,12 +76,12 @@ class TestBoundary:
         with pytest.raises(ValueError):
             b.upper(1.5)
         with pytest.raises(ValueError):
-            eval_boundary(b, -0.1)
+            b.lower(-0.1), b.upper(-0.1)
 
     @given(t=st.floats(0.0, 1.0, allow_nan=False))
     def test_symmetric_antisymmetry(self, t):
         b = make_boundary(BoundarySide.SYMMETRIC, 2, [1.0, 0.9, 1.1, 0.8, 1.2])
-        lo, up = eval_boundary(b, t)
+        lo, up = b.lower(t), b.upper(t)
         assert lo == -up
 
     def test_continuity_at_knots(self):

@@ -16,20 +16,21 @@ from ifpt import (
     constant_boundary_cdf,
     exponential_target,
     fpt_distribution_table,
-    init_subdensity,
     linear_fpt_density,
-    propagate_subdensity,
     residual_fgkey,
+    subdensities,
     survival_probability,
 )
-from ifpt.core import NumericalConsistencyError
+from ifpt.core import ConvergenceError, NumericalConsistencyError
 from ifpt.forward import (
     _band_strip,
+    _kernel_matrix_symmetric,
     _propagate_upper,
     block_crossing_symmetric,
     block_crossing_upper,
     block_survival_symmetric,
     block_survival_upper,
+    bridge_crossing_symmetric,
     propagated_subdensity,
 )
 
@@ -54,13 +55,13 @@ class TestQuadratureConfig:
 class TestInitSubdensity:
     def test_constant_upper_survival(self):
         b = const_boundary(BoundarySide.UPPER_ONLY, 1)
-        state = init_subdensity(b, CFG)
+        state = next(subdensities(b, CFG))
         expect = 2.0 * ndtr(1.0 / math.sqrt(0.5)) - 1.0
         assert state.survival == pytest.approx(expect, abs=1e-12)
 
     def test_constant_symmetric_survival(self):
         b = const_boundary(BoundarySide.SYMMETRIC, 1)
-        state = init_subdensity(b, CFG)
+        state = next(subdensities(b, CFG))
         expect = 1.0 - constant_boundary_cdf(1.0, 0.5, BoundarySide.SYMMETRIC)
         assert state.survival == pytest.approx(expect, abs=1e-12)
 
@@ -71,7 +72,7 @@ class TestInitSubdensity:
     def test_sloped_first_segment(self):
         grid = DyadicGrid(1.0, 1)
         b = PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, grid, 1.0 + 0.5 * grid.knots)
-        state = init_subdensity(b, CFG)
+        state = next(subdensities(b, CFG))
         seg = LinearSegment(0.5, 1.0)
         expect = 1.0 - quad(lambda s: linear_fpt_density(seg, s), 1e-12, 0.5)[0]
         assert state.survival == pytest.approx(expect, abs=1e-10)
@@ -80,36 +81,36 @@ class TestInitSubdensity:
 class TestPropagation:
     def test_far_boundary_preserves_survival(self):
         b = const_boundary(BoundarySide.UPPER_ONLY, 2, value=1e6)
-        state = init_subdensity(b, CFG)
-        out = propagate_subdensity(state, b, CFG)
+        states = subdensities(b, CFG)
+        state = next(states)
+        out = next(states)
         assert out.survival == pytest.approx(state.survival, abs=1e-12)
         assert state.survival == pytest.approx(1.0, abs=1e-12)
 
     def test_composed_blocks_match_single_closed_form(self):
         b = const_boundary(BoundarySide.UPPER_ONLY, 2)
-        state = init_subdensity(b, CFG)
-        for _ in range(3):
-            state = propagate_subdensity(state, b, CFG)
+        *_, state = subdensities(b, CFG)
         assert state.survival == pytest.approx(2.0 * ndtr(1.0) - 1.0, abs=1e-8)
 
     def test_zero_input_gives_zero_output(self):
         b = const_boundary(BoundarySide.UPPER_ONLY, 2)
-        state = init_subdensity(b, CFG)
+        state = next(subdensities(b, CFG))
         dead = SubDensity(
             time=state.time,
             nodes=state.nodes,
             weights=state.weights,
             values=np.zeros_like(state.values),
         )
-        out = propagate_subdensity(dead, b, CFG)
+        out = propagated_subdensity(dead, 1.0, 1.0, b.grid.block_width, b.side, CFG)
         assert out.survival == 0.0
         assert np.all(out.values == 0.0)
 
     def test_half_steps_compose_to_full_block(self):
         grid = DyadicGrid(1.0, 3)
         b = PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, grid, 1.0 + 0.3 * grid.knots)
-        state = init_subdensity(b, CFG)
-        state = propagate_subdensity(state, b, CFG)
+        states = subdensities(b, CFG)
+        next(states)
+        state = next(states)
         dt = grid.block_width
         g0, g1 = float(b.knot_values[2]), float(b.knot_values[3])
         gm = float(b.upper(state.time + dt / 2.0))
@@ -117,18 +118,6 @@ class TestPropagation:
         half = propagated_subdensity(state, g0, gm, dt / 2.0, b.side, CFG)
         half = propagated_subdensity(half, gm, g1, dt / 2.0, b.side, CFG)
         assert half.survival == pytest.approx(full.survival, abs=1e-9)
-
-    def test_state_off_grid_rejected(self):
-        b = const_boundary(BoundarySide.UPPER_ONLY, 2)
-        state = init_subdensity(b, CFG)
-        shifted = SubDensity(
-            time=state.time + 0.01,
-            nodes=state.nodes,
-            weights=state.weights,
-            values=state.values,
-        )
-        with pytest.raises(ValueError):
-            propagate_subdensity(shifted, b, CFG)
 
 
 class TestSurvivalProbability:
@@ -138,7 +127,7 @@ class TestSurvivalProbability:
 
     def test_first_knot_equals_init_mass(self):
         b = const_boundary(BoundarySide.SYMMETRIC, 3)
-        assert survival_probability(b, 1, CFG) == init_subdensity(b, CFG).survival
+        assert survival_probability(b, 1, CFG) == next(subdensities(b, CFG)).survival
 
     def test_linear_boundary_against_quadrature(self):
         grid = DyadicGrid(1.0, 4)
@@ -162,7 +151,7 @@ class TestBlockCrossing:
 
     def test_plunging_boundary_absorbs_everything(self):
         b = const_boundary(BoundarySide.UPPER_ONLY, 2)
-        state = init_subdensity(b, CFG)
+        state = next(subdensities(b, CFG))
         got = block_crossing_probability(b, -1e6, 1, CFG, state=state)
         assert got == pytest.approx(state.survival, rel=1e-12)
 
@@ -174,7 +163,7 @@ class TestBlockCrossing:
 
     def test_mismatched_state_rejected(self):
         b = const_boundary(BoundarySide.UPPER_ONLY, 2)
-        state = init_subdensity(b, CFG)
+        state = next(subdensities(b, CFG))
         with pytest.raises(ValueError):
             block_crossing_probability(b, 0.0, 2, CFG, state=state)
 
@@ -281,9 +270,9 @@ def _dense_upper(x_in, mass_in, x_out, g0, g1, dt):
     return (bridge * gauss / math.sqrt(2.0 * math.pi * dt)) @ mass_in
 
 
-def _recorded_table(b, kernel, monkeypatch):
-    """Distribution table of ``b`` with ``kernel`` propagating the upper side,
-    and every density the kernel returned on the way."""
+def _recorded_table(b, kernel, monkeypatch, name="_propagate_upper"):
+    """Distribution table of ``b`` with ``kernel`` in place of the forward
+    module's ``name``, and every array the kernel returned on the way."""
     import ifpt.forward as fw
 
     values = []
@@ -293,7 +282,7 @@ def _recorded_table(b, kernel, monkeypatch):
         return values[-1]
 
     with monkeypatch.context() as mp:
-        mp.setattr(fw, "_propagate_upper", record)
+        mp.setattr(fw, name, record)
         table = fpt_distribution_table(b, CFG)
     return values, table
 
@@ -353,8 +342,135 @@ class TestConsistencyGuards:
         import ifpt.forward as fw
 
         b = const_boundary(BoundarySide.UPPER_ONLY, 2, value=0.5)
-        state = init_subdensity(b, CFG)
+        states = subdensities(b, CFG)
+        next(states)
         real = fw._propagate_upper
         monkeypatch.setattr(fw, "_propagate_upper", lambda *a: 1.5 * real(*a))
         with pytest.raises(NumericalConsistencyError):
-            propagate_subdensity(state, b, CFG)
+            next(states)
+
+
+# ---------------------------------------------------------------------------
+# the symmetric corridor against its image series written out in full
+
+_LITERAL_K = np.arange(-30, 31)
+
+
+def _literal_images(x0, u0, u1, dt):
+    """Log-weights and centres of the direct and reflected images of a start
+    at ``x0`` in the corridor (-u, u), u linear u0 -> u1 over ``dt``
+    (Anderson 1960), for k = -30..30 along a new last axis."""
+    mu = (u1 - u0) / dt
+    x0 = np.asarray(x0, dtype=float)[..., None]
+    k = _LITERAL_K
+    direct = (-4.0 * k * mu * (x0 + 2.0 * k * u0), x0 + 4.0 * k * u0)
+    reflected = (direct[0] - 2.0 * mu * (u0 - x0 - 4.0 * k * u0), 2.0 * u0 - x0 - 4.0 * k * u0)
+    return direct, reflected
+
+
+def _literal_survival(x, u0, u1, dt):
+    s = math.sqrt(dt)
+
+    def inside(logw, centre):
+        # exp(logw) * P(-u1 < N(centre, dt) < u1), from the near tail
+        lo, hi = (-u1 - centre) / s, (u1 - centre) / s
+        p = np.where(centre < 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
+        with np.errstate(divide="ignore"):
+            return np.exp(logw + np.log(p))
+
+    direct, reflected = _literal_images(x, u0, u1, dt)
+    return np.sum(inside(*direct) - inside(*reflected), axis=-1)
+
+
+def _literal_kernel(x_in, x_out, u0, u1, dt):
+    (la, ma), (lb, mb) = _literal_images(x_in, u0, u1, dt)
+    y = x_out[:, None, None]
+    terms = np.exp(la - (y - ma) ** 2 / (2.0 * dt)) - np.exp(lb - (y - mb) ** 2 / (2.0 * dt))
+    return terms.sum(axis=-1) / math.sqrt(2.0 * math.pi * dt)
+
+
+def _literal_bridge_crossing(x0, x1, u0, u1, dt):
+    # one minus the killed over the free transition density
+    (la, ma), (lb, mb) = _literal_images(x0, u0, u1, dt)
+    v2 = ((x1 - x0) ** 2)[..., None]
+    y = np.asarray(x1)[..., None]
+    terms = np.exp(la + (v2 - (y - ma) ** 2) / (2.0 * dt)) - np.exp(
+        lb + (v2 - (y - mb) ** 2) / (2.0 * dt)
+    )
+    return 1.0 - terms.sum(axis=-1)
+
+
+def _random_corridors(count, seed):
+    rng = np.random.default_rng(seed)
+    while count:
+        dt = float(np.exp(rng.uniform(math.log(3e-5), math.log(0.5))))
+        u0 = rng.uniform(0.2, 2.0)
+        u1 = u0 + rng.uniform(-2.0, 2.0) * dt
+        if u1 > 0.05:
+            count -= 1
+            yield u0, u1, dt
+
+
+class TestImageSeriesReference:
+    """Every corridor function against the image sum over k = -30..30 with no
+    early stop."""
+
+    def test_block_survival_and_crossing(self):
+        for u0, u1, dt in _random_corridors(40, seed=11):
+            x = np.linspace(-u0, u0, 23)[1:-1]
+            ref = _literal_survival(x, u0, u1, dt)
+            assert np.max(np.abs(block_survival_symmetric(x, u0, u1, dt) - ref)) <= 1e-13
+            assert np.max(np.abs(block_crossing_symmetric(x, u0, u1, dt) - (1.0 - ref))) <= 1e-13
+
+    def test_bridge_crossing(self):
+        rng = np.random.default_rng(12)
+        for u0, u1, dt in _random_corridors(40, seed=13):
+            x0 = rng.uniform(-u0, u0, 64)
+            x1 = x0 + 2.0 * math.sqrt(dt) * rng.standard_normal(64)
+            keep = np.abs(x1) < u1
+            x0, x1 = x0[keep], x1[keep]
+            got = bridge_crossing_symmetric(x0, x1, u0, u1, dt)
+            ref = _literal_bridge_crossing(x0, x1, u0, u1, dt)
+            assert np.max(np.abs(got - ref), initial=0.0) <= 1e-13
+
+    def test_kernel_matrix(self):
+        for u0, u1, dt in _random_corridors(40, seed=14):
+            x_in = np.linspace(-u0, u0, 41)[1:-1]
+            x_out = np.linspace(-u1, u1, 37)[1:-1]
+            got = _kernel_matrix_symmetric(x_in, x_out, u0, u1, dt)
+            ref = _literal_kernel(x_in, x_out, u0, u1, dt)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_table_with_literal_kernel(self, monkeypatch):
+        from ifpt import SolverConfig, construct_boundary
+
+        sol = construct_boundary(
+            exponential_target(1.0), 1.0, 6, BoundarySide.SYMMETRIC, SolverConfig()
+        )
+        b = sol.boundary
+        kernel = "_kernel_matrix_symmetric"
+        values, table = _recorded_table(b, _kernel_matrix_symmetric, monkeypatch, kernel)
+        ref_values, ref_table = _recorded_table(b, _literal_kernel, monkeypatch, kernel)
+        assert len(values) == b.grid.blocks
+        for got, ref in zip(values, ref_values, strict=True):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(table.block_masses - ref_table.block_masses)) <= 1e-13
+
+
+class TestImageSeriesBudget:
+    """A corridor pinched from u0 = 1 to u1 = 1e-7 over dt = 0.5 needs more
+    image pairs than the budget allows."""
+
+    MESSAGE = "corridor nearly pinched: u0=1, u1=1e-07"
+
+    def test_every_corridor_function_raises(self):
+        x = np.linspace(-0.9, 0.9, 7)
+        calls = (
+            lambda: block_survival_symmetric(x, 1.0, 1e-7, 0.5),
+            lambda: block_crossing_symmetric(x, 1.0, 1e-7, 0.5),
+            lambda: bridge_crossing_symmetric(x, np.zeros_like(x), 1.0, 1e-7, 0.5),
+            lambda: _kernel_matrix_symmetric(x, np.array([0.0]), 1.0, 1e-7, 0.5),
+        )
+        for call in calls:
+            with pytest.raises(ConvergenceError, match=self.MESSAGE):
+                call()
