@@ -4,7 +4,10 @@ block matches the target mass, then the absorbed density is pushed forward
 and the next block is solved.
 
 Each block's objective is continuous and strictly decreasing in the slope,
-so a bracketed bisection (with a secant endgame) finds the unique root.
+so it has a unique root, found by safeguarded regula falsi (Illinois
+variant) inside a bracket.  Block m >= 2 starts its bracket at block m-1's
+slope, so a smooth boundary needs about five crossing-mass evaluations per
+block; block 1 starts cold from ±``bracket_halfwidth``.
 """
 from __future__ import annotations
 
@@ -53,8 +56,8 @@ log = logging.getLogger(__name__)
 #: Bracket endpoints are never expanded beyond this magnitude.
 _BRACKET_LIMIT = 2.0**50
 
-#: Bracket width below which bisection hands over to secant steps.
-_SECANT_WIDTH = 1e-4
+#: Smallest first step of a warm-started slope bracket.
+_STEP_FLOOR = 0.01
 
 #: Relative bracket width at which the root is considered pinned.
 _WIDTH_TOL = 1e-13
@@ -67,6 +70,11 @@ class SolverConfig:
     ``probability_tol`` is a tolerance on matched probability mass, not on
     the slope; slope accuracy follows from the local derivative and is
     reported through the solve records.
+
+    ``bracket_halfwidth`` only seeds the cold starts: the first block's
+    level search starts there, and block 1's slope bracket is
+    ±``bracket_halfwidth``.  Later blocks start from the previous slope.
+    Every bracket grows by ``bracket_growth`` until it holds the root.
     """
 
     probability_tol: float = 1e-10
@@ -101,15 +109,23 @@ def _refine_root(
     cfg: SolverConfig,
     iters: int,
 ) -> tuple[float, float, int, float, float]:
-    """Locate the root of the decreasing ``fun`` inside a valid bracket."""
+    """Locate the root of the decreasing ``fun`` inside a valid bracket.
+
+    Regula falsi with the Illinois modification: every step is the secant
+    through the two bracket ends, and an end kept twice in a row has its
+    residual halved, so both ends close in.  A secant candidate outside the
+    open bracket is replaced by the midpoint.
+    """
     tol = _residual_tol(cfg, target)
     bracket = (lo, hi)
-    cand, f_c = 0.5 * (lo + hi), math.nan
+    r_lo, r_hi = f_lo - target, f_hi - target
+    kept = 0  # +1 when lo survived the last step, -1 when hi did
+    f_c = math.nan
     while iters < cfg.max_iterations:
         width = hi - lo
         cand = 0.5 * (lo + hi)
-        if width < _SECANT_WIDTH and f_lo != f_hi:
-            sec = lo + (f_lo - target) * width / (f_lo - f_hi)
+        if r_lo > r_hi:
+            sec = lo + r_lo * width / (r_lo - r_hi)
             if lo < sec < hi:
                 cand = sec
         f_c = fun(cand)
@@ -122,9 +138,15 @@ def _refine_root(
                 )
             return cand, f_c, iters, bracket[0], bracket[1]
         if f_c > target:
-            lo, f_lo = cand, f_c
+            lo, r_lo = cand, f_c - target
+            if kept < 0:
+                r_hi *= 0.5
+            kept = -1
         else:
-            hi, f_hi = cand, f_c
+            hi, r_hi = cand, f_c - target
+            if kept > 0:
+                r_lo *= 0.5
+            kept = 1
     raise ConvergenceError(
         f"root not located within {cfg.max_iterations} iterations "
         f"(last residual {f_c - target:.3g})"
@@ -154,12 +176,14 @@ def solve_first_block(
     f_lo = f_hi = fun(hi)
     iters = 1
     while f_hi > target:
+        lo, f_lo = hi, f_hi
         hi *= cfg.bracket_growth
         if hi > _BRACKET_LIMIT:
             raise ConvergenceError("level bracket expansion diverged")
         f_hi = fun(hi)
         iters += 1
     while f_lo < target:
+        hi, f_hi = lo, f_lo
         lo /= cfg.bracket_growth
         if lo < 1e-300:
             raise ConvergenceError("level bracket expansion diverged toward zero")
@@ -187,15 +211,24 @@ def solve_block(
     cfg: SolverConfig,
     boundary_value: float,
     dt: float | None = None,
+    guess: float | None = None,
+    step: float = _STEP_FLOOR,
 ) -> tuple[float, BlockSolveRecord]:
     """Solve the slope of block m given the absorbed state at its left knot.
 
     ``boundary_value`` is the inherited boundary value at the knot; the
     candidate segment runs from it with the trial slope.  The block's target
     mass must be strictly positive and strictly below the current survival.
+
+    Without a ``guess`` the slope bracket starts at ±``bracket_halfwidth``.
+    With one (the previous block's slope, say) it starts at ``guess`` and
+    ``guess ± step`` on the side where the root lies; either way it grows
+    outward by ``bracket_growth`` until it holds the root.
     """
     if m < 1:
         raise ValueError("solve_block handles blocks m >= 1")
+    if guess is not None and not (math.isfinite(guess) and 0.0 < step < math.inf):
+        raise ValueError("a warm start needs a finite guess and a finite positive step")
     if dt is None:
         dt = p.time / m
     target = block_mass(d, p.time, p.time + dt)
@@ -212,17 +245,28 @@ def solve_block(
     def fun(a: float) -> float:
         return crossing_mass(p, boundary_value, boundary_value + a * dt, dt, side)
 
-    lo, hi = -cfg.bracket_halfwidth, cfg.bracket_halfwidth
-    f_lo, f_hi = fun(lo), fun(hi)
+    if guess is None:
+        center, lo, hi = 0.0, -cfg.bracket_halfwidth, cfg.bracket_halfwidth
+        f_lo, f_hi = fun(lo), fun(hi)
+    else:
+        center, f_c = guess, fun(guess)
+        if f_c > target:
+            lo, f_lo, hi = guess, f_c, guess + step
+            f_hi = fun(hi)
+        else:
+            lo, hi, f_hi = guess - step, guess, f_c
+            f_lo = fun(lo)
     iters = 2
     while f_hi > target:
-        hi *= cfg.bracket_growth
+        lo, f_lo = hi, f_hi
+        hi = center + (hi - center) * cfg.bracket_growth
         if hi > _BRACKET_LIMIT:
             raise ConvergenceError(f"slope bracket for block {m} diverged upward")
         f_hi = fun(hi)
         iters += 1
     while f_lo < target:
-        lo *= cfg.bracket_growth
+        hi, f_hi = lo, f_lo
+        lo = center + (lo - center) * cfg.bracket_growth
         if lo < -_BRACKET_LIMIT:
             raise ConvergenceError(f"slope bracket for block {m} diverged downward")
         f_lo = fun(lo)
@@ -303,14 +347,22 @@ def construct_boundary(
     knots[0] = knots[1] = alpha0
     state = initial_subdensity(alpha0, alpha0, dt, side, cfg.quadrature)
 
+    # Block m starts from block m-1's slope and first steps twice the last
+    # slope change (block 1's change is taken from slope 0).
+    guess, step = None, _STEP_FLOOR
     for m in range(1, grid.blocks):
         try:
-            slope, rec = solve_block(state, d, m, side, cfg, boundary_value=float(knots[m]), dt=dt)
+            slope, rec = solve_block(
+                state, d, m, side, cfg, boundary_value=float(knots[m]), dt=dt,
+                guess=guess, step=step,
+            )
         except (InfeasibleTargetError, ConvergenceError) as exc:
             if isinstance(exc, InfeasibleTargetError):
                 exc.records = list(records)
             raise
         records.append(rec)
+        step = max(2.0 * abs(slope - (guess or 0.0)), _STEP_FLOOR)
+        guess = slope
         knots[m + 1] = knots[m] + slope * dt
         state = propagated_subdensity(
             state, float(knots[m]), float(knots[m + 1]), dt, side, cfg.quadrature

@@ -50,6 +50,15 @@ class TestInverseCommand:
         sym = read_boundary_csv(tmp_path / "sym" / "boundary.csv")
         assert sym.knot_values[0] > up.knot_values[0]
 
+    def test_steep_slope_target_warns_and_exits_0(self, tmp_path, caplog):
+        code = run("inverse", "--target", "exp:1000000", "--T", 1e-6, "--n", 4,
+                   "--out", tmp_path)
+        assert code == 0
+        assert any("solved slopes reach" in r.getMessage() for r in caplog.records)
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["max_abs_slope"] > 1e3
+        assert all(abs(blk["residual"]) <= 1e-10 for blk in diag["blocks"])
+
     def test_exhausted_target_exits_5(self, tmp_path):
         assert run("inverse", "--target", "uniform:0,1", "--T", 1, "--n", 2,
                    "--out", tmp_path) == 5

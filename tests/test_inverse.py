@@ -1,7 +1,9 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
 from ifpt import (
@@ -19,6 +21,7 @@ from ifpt import (
     solve_first_block,
     uniform_target,
 )
+import ifpt.inverse as inv
 from ifpt.forward import crossing_mass, initial_subdensity
 
 CFG = SolverConfig()
@@ -121,6 +124,29 @@ class TestSolveBlock:
             slopes.append(slope)
         assert slopes[0] > slopes[1] > slopes[2]
 
+    @pytest.mark.parametrize("side", [UP, SYM])
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(guess=st.floats(-50.0, 50.0), frac=st.floats(0.0, 1.0))
+    def test_warm_start_from_any_guess(self, side, guess, frac):
+        state, dt = self._constant_state(side)
+        lo, hi = math.log(1e-8), math.log(0.9 * state.survival)
+        mu = math.exp(lo + frac * (hi - lo))
+        d = TargetDistribution(
+            density=lambda t: np.full_like(np.asarray(t, float), mu / dt),
+            cdf=lambda t: np.asarray(t, float) / dt * mu,
+            kind="custom",
+        )
+        slope, rec = solve_block(state, d, 1, side, CFG, boundary_value=1.0, dt=dt, guess=guess)
+        assert abs(rec.residual) <= inv._residual_tol(CFG, rec.target_mass)
+        assert rec.bracket_lo <= slope <= rec.bracket_hi
+        assert rec.iterations <= CFG.max_iterations
+
+    def test_warm_start_needs_positive_step(self):
+        state, dt = self._constant_state()
+        with pytest.raises(ValueError):
+            solve_block(state, exponential_target(1.0), 1, UP, CFG, boundary_value=1.0,
+                        dt=dt, guess=0.0, step=0.0)
+
     def test_objective_strictly_monotone_across_final_bracket(self):
         d = exponential_target(1.0)
         state, dt = self._constant_state()
@@ -140,6 +166,23 @@ class TestConstructBoundary:
         assert sol.boundary.knot_values[0] > 0.0
         derived = max(abs(float(s)) for s in sol.boundary.slopes)
         assert sol.max_abs_slope == pytest.approx(max(derived, sol.records[0].alpha), rel=1e-12)
+
+    @pytest.mark.parametrize("side", [UP, SYM])
+    def test_warm_started_blocks_need_few_evaluations(self, side):
+        sol = construct_boundary(exponential_target(1.0), 1.0, 7, side, CFG)
+        evals = [r.iterations for r in sol.records[1:]]
+        assert np.mean(evals) <= 6.0
+        assert max(evals) <= 25
+
+    @pytest.mark.parametrize("side", [UP, SYM])
+    def test_steep_slopes_warn_and_still_match(self, side, caplog):
+        # exp(1) on [0, 1] under Brownian scaling to [0, 1e-6]: slopes near 3e3
+        d = exponential_target(1e6)
+        with caplog.at_level(logging.WARNING, logger="ifpt.inverse"):
+            sol = construct_boundary(d, 1e-6, 4, side, CFG)
+        assert sol.max_abs_slope > CFG.slope_warn_threshold
+        assert any("solved slopes reach" in r.getMessage() for r in caplog.records)
+        assert all(abs(r.residual) <= CFG.probability_tol for r in sol.records)
 
     def test_two_block_exponential_example(self):
         d = exponential_target(1.0)
@@ -166,8 +209,6 @@ class TestConstructBoundary:
     def test_infeasible_block_carries_partial_records(self, monkeypatch):
         # a validated target cannot demand more than the survival mass, so
         # force an oversized block-2 mass to exercise the abort contract
-        import ifpt.inverse as inv
-
         d = exponential_target(1.0)
         real = inv.block_mass
 
