@@ -59,6 +59,19 @@ class TestInverseCommand:
         assert diag["max_abs_slope"] > 1e3
         assert all(abs(blk["residual"]) <= 1e-10 for blk in diag["blocks"])
 
+    def test_cdf_just_below_one_minus_epsilon_exits_0(self, tmp_path):
+        # survival exp(-13.8) = 1.01e-6, just above the 1e-6 that must remain
+        assert run("inverse", "--target", "exp:13.8", "--T", 1, "--n", 5,
+                   "--out", tmp_path) == 0
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert all(abs(blk["residual"]) <= 1e-10 for blk in diag["blocks"])
+
+    def test_cdf_past_one_minus_epsilon_exits_5(self, tmp_path, capsys):
+        # survival exp(-14) = 8.3e-7
+        assert run("inverse", "--target", "exp:14", "--T", 1, "--n", 5,
+                   "--out", tmp_path) == 5
+        assert "positive survival mass must remain" in capsys.readouterr().err
+
     def test_exhausted_target_exits_5(self, tmp_path):
         assert run("inverse", "--target", "uniform:0,1", "--T", 1, "--n", 2,
                    "--out", tmp_path) == 5

@@ -22,6 +22,7 @@ from ifpt import (
     uniform_target,
 )
 import ifpt.inverse as inv
+from ifpt.core import SURVIVAL_MASS_EPSILON
 from ifpt.forward import crossing_mass, initial_subdensity
 
 CFG = SolverConfig()
@@ -195,6 +196,19 @@ class TestConstructBoundary:
         sol = construct_boundary(d, 1.0, 6, UP, CFG)
         truth = 1.0 + 0.5 * sol.boundary.grid.knots
         assert float(np.max(np.abs(sol.boundary.knot_values - truth))) <= 0.02
+
+    @pytest.mark.parametrize("side", [UP, SYM])
+    def test_cdf_just_below_one_minus_epsilon_solves(self, side):
+        # exp(13.8) on [0, 1] leaves survival exp(-13.8) = 1.01e-6
+        d = exponential_target(13.8)
+        assert SURVIVAL_MASS_EPSILON < 1.0 - float(d.cdf(1.0)) < 1.02e-6
+        sol = construct_boundary(d, 1.0, 5, side, CFG)
+        assert all(abs(r.residual) <= 1e-10 for r in sol.records)
+
+    def test_cdf_past_one_minus_epsilon_fails_validation(self):
+        # exp(14) on [0, 1] leaves survival 8.3e-7 < SURVIVAL_MASS_EPSILON
+        with pytest.raises(ValidationError, match="positive survival mass must remain"):
+            construct_boundary(exponential_target(14.0), 1.0, 5, UP, CFG)
 
     def test_dead_density_fails_validation(self):
         # density dies after t = 0.5, violating strict positivity

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.special import ndtr
 
 from ifpt import (
@@ -14,10 +17,15 @@ from ifpt import (
     block_crossing_probability,
     brute_force_block_check,
     constant_boundary_cdf,
+    SolverConfig,
+    construct_boundary,
+    exponential_target,
     ks_block_distance,
     simulate_hitting_times,
+    symmetric_linear_density,
 )
-from ifpt.montecarlo import EmpiricalHittingDistribution
+from ifpt.forward import bridge_crossing_symmetric, bridge_crossing_upper
+from ifpt.montecarlo import _SCREEN_SLACK, EmpiricalHittingDistribution, _simulate_chunk
 
 QCFG = QuadratureConfig()
 
@@ -170,3 +178,130 @@ class TestOracleTriangle:
         se = float(emp.stderr[m])
         assert brute == pytest.approx(fwd, abs=1e-6)
         assert abs(freq - fwd) <= 3.0 * se
+
+
+def _unscreened_chunk(b, cfg, chunk_index, count):
+    """The chunk loop written out with the bridge factor evaluated on every
+    inside path: same Philox key and draw order as ``_simulate_chunk``."""
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([cfg.seed, chunk_index], dtype=np.uint64))
+    )
+    steps = b.grid.blocks * cfg.substeps
+    dt = b.grid.block_width / cfg.substeps
+    g = b.upper(np.minimum(np.arange(steps + 1) * b.grid.horizon / steps, b.grid.horizon))
+    symmetric = b.side is BoundarySide.SYMMETRIC
+    x = np.zeros(count)
+    alive = np.ones(count, dtype=bool)
+    hits = np.zeros(b.grid.blocks, dtype=np.int64)
+    for s in range(steps):
+        z = rng.standard_normal(count)
+        u = rng.random(count)
+        g0, g1 = float(g[s]), float(g[s + 1])
+        idx = np.flatnonzero(alive)
+        x0 = x[idx]
+        x1 = x0 + math.sqrt(dt) * z[idx]
+        breach = (x1 >= g1) | (x1 <= -g1) if symmetric else x1 >= g1
+        inside = ~breach
+        p = np.zeros(idx.size)
+        if inside.any():
+            bridge = bridge_crossing_symmetric if symmetric else bridge_crossing_upper
+            p[inside] = bridge(x0[inside], x1[inside], g0, g1, dt)
+        crossed = breach | (u[idx] < p)
+        hits[s // cfg.substeps] += np.count_nonzero(crossed)
+        alive[idx[crossed]] = False
+        x[idx[~crossed]] = x1[~crossed]
+    return hits
+
+
+def _steep_corridor():
+    # knots alternate 7 and 0.75 on eighths of [0, 1]: slopes of +-50
+    grid = DyadicGrid(1.0, 3)
+    return PiecewiseLinearBoundary(
+        BoundarySide.SYMMETRIC, grid, np.where(np.arange(grid.blocks + 1) % 2, 0.75, 7.0)
+    )
+
+
+def _solved_corridor():
+    return construct_boundary(
+        exponential_target(1.0), 1.0, 5, BoundarySide.SYMMETRIC, SolverConfig()
+    ).boundary
+
+
+def _upper_line():
+    grid = DyadicGrid(1.0, 4)
+    return PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, grid, 1.0 + 0.5 * grid.knots)
+
+
+class TestScreenedBridge:
+    @pytest.mark.parametrize(
+        "make, substeps",
+        [
+            (lambda: const_boundary(BoundarySide.SYMMETRIC, 4), 1),
+            (_solved_corridor, 1),
+            (_steep_corridor, 1),
+            (_steep_corridor, 3),
+            (_upper_line, 1),
+        ],
+        ids=["constant", "solved-exp1-n5", "steep", "steep-substeps", "upper"],
+    )
+    def test_counts_equal_unscreened_loop(self, make, substeps):
+        b = make()
+        for seed, chunk_index in [(0, 0), (1, 3), (7, 1)]:
+            cfg = SimConfig(paths=1, substeps=substeps, seed=seed)
+            got = _simulate_chunk(b, cfg, chunk_index, 20_000)
+            want = _unscreened_chunk(b, cfg, chunk_index, 20_000)
+            assert got.sum() > 0
+            assert np.array_equal(got, want), (seed, got - want)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        log2_dt=st.floats(-16.0, 0.0),
+        lead=st.floats(0.0, 1.0),
+        slope_at=st.floats(0.0, 1.0),
+        sides=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+        depths=st.tuples(st.floats(0.0, 8.0), st.floats(0.0, 8.0)),
+    )
+    def test_union_bound_covers_the_series(self, log2_dt, lead, slope_at, sides, depths):
+        # walls between 0.05 sqrt(dt) and 8 (8 sigma at T = 1) with slopes up
+        # to +-3e3; each endpoint lies 10**-depth of the half-width inside a
+        # wall, so large depths press it against that wall
+        dt = 2.0**log2_dt
+        floor = 0.05 * math.sqrt(dt)
+        u0 = floor * (8.0 / floor) ** lead
+        lo, hi = max(-3e3, (floor - u0) / dt), min(3e3, (8.0 - u0) / dt)
+        u1 = u0 + (lo + slope_at * (hi - lo)) * dt
+        x0 = np.array([sides[0] * u0 * (1.0 - 10.0 ** -depths[0])])
+        x1 = np.array([sides[1] * u1 * (1.0 - 10.0 ** -depths[1])])
+        p = bridge_crossing_symmetric(x0, x1, u0, u1, dt)
+        bound = bridge_crossing_upper(x0, x1, u0, u1, dt) + bridge_crossing_upper(
+            -x0, -x1, u0, u1, dt
+        )
+        assert p[0] <= bound[0] + _SCREEN_SLACK / 100.0
+
+    def test_breached_paths_raise_no_overflow(self):
+        # the corridor drops from 200 to 0.5 within dt = 1/8: a factor taken
+        # at a breached endpoint would have an exponent near +1600
+        grid = DyadicGrid(1.0, 3)
+        b = PiecewiseLinearBoundary(
+            BoundarySide.SYMMETRIC, grid, np.where(np.arange(grid.blocks + 1) % 2, 0.5, 200.0)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            emp = simulate_hitting_times(b, SimConfig(paths=20_000, seed=4))
+        assert emp.hits[0] > 0
+
+    def test_expanding_corridor_matches_closed_form(self):
+        # symmetric counterpart of acceptance criterion 10: the corridor
+        # +-(D + C t) is one linear segment, so the bridge route is exact
+        rng = np.random.default_rng(5_2026)
+        paths = 200_000
+        for k in range(8):
+            C = rng.uniform(0.0, 2.0)
+            D = rng.uniform(0.5, 2.5)
+            horizon = rng.uniform(0.1, 2.0)
+            grid = DyadicGrid(horizon, 1)
+            b = PiecewiseLinearBoundary(BoundarySide.SYMMETRIC, grid, D + C * grid.knots)
+            emp = simulate_hitting_times(b, SimConfig(paths=paths, seed=100 + k))
+            p = quad(lambda t: symmetric_linear_density(C, D, t), 0.0, horizon, limit=200)[0]
+            se = math.sqrt(p * (1.0 - p) / paths)
+            assert abs((1.0 - emp.survivors / paths) - p) <= 3.0 * se, (k, C, D, horizon)
