@@ -1,23 +1,53 @@
 """First-passage distributions for piecewise-linear boundaries by sequential
 quadrature: the absorbed density is pushed knot-to-knot through exact
-one-block kernels (crossing-corrected Gaussian for the one-sided case, an
-image expansion for the symmetric corridor).
+one-block kernels.
 
-Per-block survival and crossing probabilities from a fixed state have closed
-forms, so slope candidates during root finding cost O(nodes) while the full
-propagation runs once per block.  On the upper side that propagation is
-banded, O(nodes * band): each output node sums only the input nodes within
-``_BAND_SIGMAS`` standard deviations of the block's Gaussian.  The killed
-kernel never exceeds the free Gaussian, so every dropped entry is below
-exp(-c**2/2) of the kernel's peak (about 2.6e-18 for c = 9) and the mass
-dropped per block is at most 2*Phi(-c) (about 2.3e-19) of the survival.
-The symmetric corridor still builds its dense O(nodes**2) matrix.
+Both sides use one kernel, written as a sum over walls.  Each wall is the
+upper boundary's one-wall form: the bridge-corrected Gaussian for the
+propagation and :func:`block_crossing_upper` for the block crossing.  The
+upper side has the wall x = g; the symmetric corridor (-g, g) adds its mirror
+x = -g, the same form evaluated at -x (:func:`_mirrors`).  By
+inclusion-exclusion over the two walls,
 
-Every corridor quantity (block survival and crossing, the bridge crossing
-factor and the propagation kernel) is a sum over the image pairs
-k = 0, +-1, +-2, ... of Anderson (1960), taken by the one loop in
-:func:`_image_series`.  The first knot's density is one propagation step
-from a unit point mass at the origin.
+    killed = free - (touch upper) - (touch lower) + (touch both),
+
+and the corridor's one correction, touching both walls within the block, is
+the rest of the image series of Anderson (1960): the direct images shifted
+by 4k*u0 (k != 0), the reflections across j*u for odd |j| >= 3 and, for the
+crossing, the tails of the two one-wall reflections beyond the opposite
+wall.  :func:`_image_series` takes that series.  It runs only on narrow
+corridors, 2*m**2/dt < ``_WIDE`` with m = min(u0, u1), because the remainder
+is of order exp(-2*m**2/dt) at inside points (|y| < u0, |x| < u1):
+
+- Crossing.  A path touching both walls touches one and then moves by at
+  least 2m within dt; by the reflection principle that has probability
+  2*Phi(-2m/sqrt(dt)) <= exp(-2*m**2/dt).  So the remainder is at most
+  exp(-2*m**2/dt) * (P(upper) + P(lower)) <= 2*exp(-2*m**2/dt) times the
+  crossing itself.
+- Propagation.  Against the free Gaussian G(x - y), the reflection across
+  j*u weighs exp(-2(j*u0 - y)(j*u1 - x)/dt) and the k-th direct image
+  exp(-4k(2k*u0*u1 + u1*y - u0*x)/dt).  At inside points every weight is at
+  most 1, and below exp(-8*m**2/dt) for |j| >= 3 or |k| >= 2.  For k = 1 put
+  a = u0 + y, b = u1 - x, so x - y = u0 + u1 - a - b; the log of
+  G * weight, times dt, is at most -(u0 + u1 - s)**2/2 - 4*m*s with
+  s = a + b >= 0, whose maximum over s is -(u0 + u1)**2/2 <= -2*m**2 or,
+  when u0 + u1 > 4m, 8*m**2 - 4*m*(u0 + u1) < -8*m**2.  k = -1 is the
+  mirror image.
+
+Past ``_WIDE`` = 45 the skipped remainder is below 2*exp(-45), about
+6e-20, of the kernel's peak and of the crossing.
+
+The propagation is banded, O(nodes * band): each output node sums only the
+input nodes within ``_BAND_SIGMAS`` standard deviations of the block's
+Gaussian.  The killed kernel, and each image term of it, never exceeds the
+free Gaussian, so every dropped entry is below exp(-c**2/2) of the kernel's
+peak (about 2.6e-18 for c = 9) and the mass dropped per block is at most
+2*Phi(-c) (about 2.3e-19) of the survival.
+
+Per-block crossing probabilities from a fixed state have closed forms, so
+slope candidates during root finding cost O(nodes) while the full
+propagation runs once per block.  The first knot's density is one
+propagation step from a unit point mass at the origin.
 """
 from __future__ import annotations
 
@@ -51,9 +81,7 @@ __all__ = [
     "fpt_distribution_table",
     "FptTable",
     "residual_fgkey",
-    "block_survival_upper",
     "block_crossing_upper",
-    "block_survival_symmetric",
     "block_crossing_symmetric",
     "bridge_crossing_upper",
     "bridge_crossing_symmetric",
@@ -66,9 +94,13 @@ _PANEL_ORDER = 12
 #: standard deviations of the stepping kernel resolve it to machine precision.
 _PANEL_SIGMAS = 3.0
 
-#: Half-width of the upper-side propagation band in units of sqrt(block
-#: width); kernel entries beyond it are below exp(-81/2) of the peak.
+#: Half-width of the propagation band in units of sqrt(block width); kernel
+#: entries beyond it are below exp(-81/2) of the peak.
 _BAND_SIGMAS = 9.0
+
+#: The corridor's both-walls remainder runs only while 2*min(u0, u1)**2/dt
+#: is below this; past it the remainder is below 2*exp(-45) (module docstring).
+_WIDE = 45.0
 
 #: Largest |k| the corridor image series (:func:`_image_series`) may reach.
 _IMAGE_MAX = 256
@@ -137,37 +169,40 @@ def _nodes_weights(
     return x, w
 
 
+#: Wall signs of the corridor: the upper wall x = g and its mirror x = -g.
+_CORRIDOR = (1.0, -1.0)
+
+
+def _mirrors(side: BoundarySide) -> tuple[float, ...]:
+    """Signs s of the walls s*x = g of ``side``."""
+    return (1.0,) if side is BoundarySide.UPPER_ONLY else _CORRIDOR
+
+
+def _narrow(mirrors: tuple[float, ...], g0: float, g1: float, dt: float) -> bool:
+    """Whether the block needs the corridor's both-walls remainder."""
+    return -1.0 in mirrors and 2.0 * min(g0, g1) ** 2 < _WIDE * dt
+
+
 def _alive_interval(
-    side: BoundarySide, g_t: float, t: float, cfg: QuadratureConfig
+    mirrors: tuple[float, ...], g_t: float, t: float, cfg: QuadratureConfig
 ) -> tuple[float, float] | None:
-    """Spatial window carrying all but ~Phi(-width) of the absorbed mass."""
+    """Spatial window carrying all but ~Phi(-width) of the absorbed mass,
+    cut by the upper wall and, on the corridor, by its mirror."""
     reach = cfg.truncation_width * math.sqrt(t)
-    if side is BoundarySide.UPPER_ONLY:
-        lo, hi = -reach, min(g_t, reach)
-    else:
-        if g_t <= 0.0:
-            return None
-        lo, hi = max(-g_t, -reach), min(g_t, reach)
+    hi = min(g_t, reach)
+    lo = -hi if -1.0 in mirrors else -reach
     if not hi > lo:
         return None
     return lo, hi
 
 
 # ---------------------------------------------------------------------------
-# closed-form one-block functionals, one-sided case
-
-
-def block_survival_upper(x, g0: float, g1: float, dt: float):
-    """P(no crossing of the linear segment g0 -> g1 over one block | start x)."""
-    x = np.asarray(x, dtype=float)
-    s = math.sqrt(dt)
-    expo = -2.0 * (g0 - x) * (g1 - g0) / dt + log_ndtr((g1 - 2.0 * g0 + x) / s)
-    return np.clip(ndtr((g1 - x) / s) - np.exp(expo), 0.0, 1.0)
+# one wall in closed form
 
 
 def block_crossing_upper(x, g0: float, g1: float, dt: float):
-    """Exact complement of :func:`block_survival_upper`, accurate for tiny
-    crossing probabilities (both contributions are nonnegative)."""
+    """P(cross the linear segment g0 -> g1 during one block | start x), as two
+    nonnegative parts, so tiny crossing probabilities stay accurate."""
     x = np.asarray(x, dtype=float)
     s = math.sqrt(dt)
     expo = -2.0 * (g0 - x) * (g1 - g0) / dt + log_ndtr((g1 - 2.0 * g0 + x) / s)
@@ -180,7 +215,7 @@ def bridge_crossing_upper(x0, x1, g0: float, g1: float, dt: float):
 
 
 # ---------------------------------------------------------------------------
-# symmetric corridor: image expansion
+# the corridor's image expansion
 
 
 def _sym_coeffs(x0, u0: float, u1: float, dt: float, k: int):
@@ -235,36 +270,40 @@ def _phi_diff(logw, mean, u1: float, s: float):
     return np.exp(logw + _log_phi_diff((-u1 - mean) / s, (u1 - mean) / s))
 
 
-def block_survival_symmetric(x, u0: float, u1: float, dt: float):
-    """P(stay inside the corridor (-u, u) over one block | start x)."""
-    x = np.asarray(x, dtype=float)
-    if u1 <= 0.0:
-        return np.zeros_like(x)
+def _crossing_remainder(x, u0: float, u1: float, dt: float, peak: float):
+    """P(touch both corridor walls during one block | start x): the far tails
+    of the two one-wall reflections plus the direct images k != 0, less the
+    reflections across j*u, |j| >= 3."""
     s = math.sqrt(dt)
+    none = np.zeros(())
 
     def image(k, la, mean_a, lb, mean_b):
-        return _phi_diff(la, mean_a, u1, s), _phi_diff(lb, mean_b, u1, s)
+        if k == 0:  # the upper wall's reflection below -u1
+            return np.exp(lb + log_ndtr((-u1 - mean_b) / s)), none
+        direct = _phi_diff(la, mean_a, u1, s)
+        if k == 1:  # the lower wall's reflection above u1
+            return direct + np.exp(lb + log_ndtr((mean_b - u1) / s)), none
+        return direct, _phi_diff(lb, mean_b, u1, s)
 
-    return np.clip(_image_series(x, u0, u1, dt, image), 0.0, 1.0)
+    return _image_series(x, u0, u1, dt, image, peak)
+
+
+def _crossing(x: np.ndarray, g0: float, g1: float, dt: float, mirrors: tuple[float, ...]):
+    """P(touch a wall during one block | start x): the one-wall crossing
+    summed over the walls, less the both-walls remainder on a narrow
+    corridor (module docstring)."""
+    if -1.0 in mirrors and g1 <= 0.0:
+        return np.ones_like(x)  # the corridor closes within the block
+    c = sum(block_crossing_upper(s * x, g0, g1, dt) for s in mirrors)
+    if _narrow(mirrors, g0, g1, dt):
+        c = c - _crossing_remainder(x, g0, g1, dt, float(c.max(initial=0.0)))
+    return np.clip(c, 0.0, 1.0)
 
 
 def block_crossing_symmetric(x, u0: float, u1: float, dt: float):
-    """Exact complement of :func:`block_survival_symmetric`; the direct k = 0
-    image enters only through its two endpoint tails, keeping tiny results
-    accurate."""
-    x = np.asarray(x, dtype=float)
-    if u1 <= 0.0:
-        return np.ones_like(x)
-    s = math.sqrt(dt)
-    base = ndtr((-u1 - x) / s) + ndtr((x - u1) / s)
-
-    # reflected minus direct images, the direct k = 0 one being ``base``
-    def image(k, la, mean_a, lb, mean_b):
-        direct = np.zeros_like(x) if k == 0 else _phi_diff(la, mean_a, u1, s)
-        return _phi_diff(lb, mean_b, u1, s), direct
-
-    images = _image_series(x, u0, u1, dt, image, peak=float(np.max(base, initial=0.0)))
-    return np.clip(base + images, 0.0, 1.0)
+    """P(leave the corridor (-u, u), u linear u0 -> u1, during one block |
+    start x)."""
+    return _crossing(np.asarray(x, dtype=float), u0, u1, dt, _CORRIDOR)
 
 
 def bridge_crossing_symmetric(x0, x1, u0: float, u1: float, dt: float):
@@ -285,7 +324,7 @@ def bridge_crossing_symmetric(x0, x1, u0: float, u1: float, dt: float):
 
 
 # ---------------------------------------------------------------------------
-# one-block kernels: banded on the upper side, dense image series on the corridor
+# one-block propagation, banded, for both sides
 
 
 def _band_strip(x_in: np.ndarray, x_out: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -301,47 +340,70 @@ def _band_strip(x_in: np.ndarray, x_out: np.ndarray, dt: float) -> tuple[np.ndar
     return np.minimum(idx, x_in.size - 1), idx < stop[:, None]
 
 
-def _propagate_upper(
-    x_in: np.ndarray, mass_in: np.ndarray, x_out: np.ndarray, g0: float, g1: float, dt: float
-) -> np.ndarray:
-    """Absorbed density at ``x_out`` after one block below the segment
-    g0 -> g1, from point masses ``mass_in`` (weight times value) at ``x_in``.
+def _wall_factor(xs: np.ndarray, x_out: np.ndarray, g0: float, g1: float, dt: float, mirrors):
+    """1 - sum of the pinned bridge's one-wall crossing probabilities
+    e_s = exp(-2(g1 - s*x)(g0 - s*y)/dt) from ``xs[i, j]`` to ``x_out[i]``."""
+    near, *far = (-2.0 * (g1 - s * x_out)[:, None] * (g0 - s * xs) / dt for s in mirrors)
+    if not far:
+        return -np.expm1(near)
+    # expm1 takes whichever wall's exponent is nearer 0, so the factor keeps
+    # its relative accuracy by both walls of the corridor
+    return -np.expm1(np.maximum(near, far[0])) - np.exp(np.minimum(near, far[0]))
 
-    Banded mat-vec of the bridge-corrected Gaussian kernel: only the input
-    nodes within the band of each output node are evaluated, and padded
-    strip slots carry mass 0.
+
+def _kernel_remainder(x_in, idx, x_out, u0: float, u1: float, dt: float, peak: float):
+    """Both-walls remainder of the corridor kernel from ``x_in[idx[i, j]]``
+    to ``x_out[i]``, in units of the free Gaussian's peak: the direct images
+    k != 0 less the reflections across j*u, |j| >= 3."""
+    y = x_out[:, None]
+    direct, reflected, gathered = (np.empty(idx.shape) for _ in range(3))
+    none = np.zeros(())
+
+    def gauss(out, logw, mean):
+        # exp(logw - (y - mean)**2 / (2 dt)) on the strip, in place
+        np.subtract(y, np.take(mean, idx, out=gathered, mode="clip"), out=out)
+        np.square(out, out=out)
+        out /= -2.0 * dt
+        out += np.take(logw, idx, out=gathered, mode="clip")
+        return np.exp(out, out=out)
+
+    # The series uses up each pair before it asks for the next, so all pairs
+    # share the buffers; fresh strips per term cost page faults and peak memory.
+    def image(k, la, mean_a, lb, mean_b):
+        return (
+            none if k == 0 else gauss(direct, la, mean_a),
+            none if k in (0, 1) else gauss(reflected, lb, mean_b),
+        )
+
+    return _image_series(x_in, u0, u1, dt, image, peak)
+
+
+def _propagate(
+    x_in: np.ndarray,
+    mass_in: np.ndarray,
+    x_out: np.ndarray,
+    g0: float,
+    g1: float,
+    dt: float,
+    mirrors: tuple[float, ...],
+) -> np.ndarray:
+    """Absorbed density at ``x_out`` after one block inside the walls
+    s*x = g (s in ``mirrors``, g linear g0 -> g1), from point masses
+    ``mass_in`` (weight times value) at ``x_in``.
+
+    Banded mat-vec: only the input nodes within the band of each output node
+    are evaluated, and padded strip slots carry mass 0.  Each entry is the
+    free Gaussian times :func:`_wall_factor`, plus the both-walls remainder
+    on a narrow corridor.
     """
     idx, inside = _band_strip(x_in, x_out, dt)
     xs = x_in[idx]
     gauss = np.exp(-np.square(x_out[:, None] - xs) / (2.0 * dt))
-    factor = -np.expm1(-2.0 * (g1 - x_out)[:, None] * (g0 - xs) / dt)
+    kernel = _wall_factor(xs, x_out, g0, g1, dt, mirrors) * gauss
+    if _narrow(mirrors, g0, g1, dt):
+        kernel += _kernel_remainder(x_in, idx, x_out, g0, g1, dt, float(gauss.max(initial=0.0)))
     mass = np.where(inside, mass_in[idx], 0.0)
-    return np.einsum("ij,ij->i", factor * gauss, mass) / math.sqrt(2.0 * math.pi * dt)
-
-
-def _kernel_matrix_symmetric(x_in, x_out, u0: float, u1: float, dt: float) -> np.ndarray:
-    """Dense (n_out x n_in) corridor kernel from the image series."""
-    diff = x_out[:, None] - x_in[None, :]
-    ssum = x_out[:, None] + x_in[None, :]
-    direct, reflected = np.empty_like(diff), np.empty_like(diff)
-
-    def gauss(out, logw):
-        # exp(logw - out**2 / (2 dt)), in place
-        np.square(out, out=out)
-        out /= 2.0 * dt
-        np.subtract(logw[None, :], out, out=out)
-        return np.exp(out, out=out)
-
-    # The series consumes each pair before it asks for the next, so all pairs
-    # share two buffers; a fresh pair of matrices per term made glibc trim and
-    # re-fault the heap on every call (3x the page faults on a symmetric ladder).
-    def image(k, la, mean_a, lb, mean_b):
-        np.subtract(diff, 4.0 * k * u0, out=direct)
-        np.subtract(ssum, 2.0 * u0, out=reflected)
-        np.add(reflected, 4.0 * k * u0, out=reflected)
-        return gauss(direct, la), gauss(reflected, lb)
-
-    return _image_series(x_in, u0, u1, dt, image) / math.sqrt(2.0 * math.pi * dt)
+    return np.einsum("ij,ij->i", kernel, mass) / math.sqrt(2.0 * math.pi * dt)
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +427,13 @@ def _step(
 ) -> SubDensity:
     """Absorbed density at time ``t1`` after one block of width ``dt`` with
     boundary values g0 -> g1, from point masses ``mass_in`` at ``x_in``."""
-    window = _alive_interval(side, g1, t1, cfg)
+    mirrors = _mirrors(side)
+    window = _alive_interval(mirrors, g1, t1, cfg)
     if window is None:
         return _empty_state(t1)
     lo, hi = window
-    x, w = _nodes_weights(
-        lo, hi, dt, cfg, grade_lo=side is BoundarySide.SYMMETRIC and lo == -g1, grade_hi=hi == g1
-    )
-    if side is BoundarySide.UPPER_ONLY:
-        vals = _propagate_upper(x_in, mass_in, x, g0, g1, dt)
-    else:
-        vals = _kernel_matrix_symmetric(x_in, x, g0, g1, dt) @ mass_in
+    x, w = _nodes_weights(lo, hi, dt, cfg, grade_lo=lo == -g1 and -1.0 in mirrors, grade_hi=hi == g1)
+    vals = _propagate(x_in, mass_in, x, g0, g1, dt, mirrors)
     return SubDensity(time=t1, nodes=x, weights=w, values=vals)
 
 
@@ -444,10 +502,7 @@ def crossing_mass(
     """
     if state.nodes.size == 0:
         return 0.0
-    if side is BoundarySide.UPPER_ONLY:
-        c = block_crossing_upper(state.nodes, g0, g1, dt)
-    else:
-        c = block_crossing_symmetric(state.nodes, g0, g1, dt)
+    c = _crossing(state.nodes, g0, g1, dt, _mirrors(side))
     value = float((state.weights * state.values) @ c)
     if value < -_SURVIVAL_SLACK:
         raise NumericalConsistencyError(f"negative block crossing probability {value:g}")

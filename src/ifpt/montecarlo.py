@@ -32,7 +32,7 @@ from .core import BoundarySide, PiecewiseLinearBoundary, TargetDistribution
 from .forward import (
     QuadratureConfig,
     _alive_interval,
-    _kernel_matrix_symmetric,
+    _mirrors,
     _nodes_weights,
     bridge_crossing_symmetric,
     bridge_crossing_upper,
@@ -216,7 +216,7 @@ def ks_block_distance(e: EmpiricalHittingDistribution, d: TargetDistribution) ->
 
 
 def _dim_nodes(b: PiecewiseLinearBoundary, k: int, cfg: QuadratureConfig):
-    window = _alive_interval(b.side, float(b.knot_values[k]), b.grid.knot(k), cfg)
+    window = _alive_interval(_mirrors(b.side), float(b.knot_values[k]), b.grid.knot(k), cfg)
     if window is None:
         return None
     lo, hi = window
@@ -229,6 +229,21 @@ def _kernel_upper_literal(x_in, x_out, g0: float, g1: float, dt: float) -> np.nd
     bridge = 1.0 - np.exp(-2.0 * np.outer(g1 - x_out, g0 - x_in) / dt)
     gauss = np.exp(-np.square(x_out[:, None] - x_in[None, :]) / (2.0 * dt))
     return bridge * gauss / math.sqrt(2.0 * math.pi * dt)
+
+
+def _kernel_symmetric_literal(x_in, x_out, u0: float, u1: float, dt: float) -> np.ndarray:
+    # Anderson's image sum for the corridor (-u, u), u linear u0 -> u1, over
+    # k = -30..30 with no early stop: the direct image shifted by 4k*u0 and the
+    # reflection across (1 - 2k)*u, each as the free Gaussian times its weight
+    # (every weight is at most 1 between the walls)
+    y, x = x_in[None, :], x_out[:, None]
+    weights = np.zeros((x_out.size, x_in.size))
+    for k in range(-30, 31):
+        j = 1 - 2 * k
+        weights += np.exp(-4.0 * k * (2.0 * k * u0 * u1 + u1 * y - u0 * x) / dt)
+        weights -= np.exp(-2.0 * (j * u0 - y) * (j * u1 - x) / dt)
+    gauss = np.exp(-np.square(x - y) / (2.0 * dt))
+    return weights * gauss / math.sqrt(2.0 * math.pi * dt)
 
 
 def _survival_tensor(b: PiecewiseLinearBoundary, j: int, cfg: QuadratureConfig) -> float:
@@ -244,7 +259,7 @@ def _survival_tensor(b: PiecewiseLinearBoundary, j: int, cfg: QuadratureConfig) 
     if b.side is BoundarySide.UPPER_ONLY:
         kernel = _kernel_upper_literal
     else:
-        kernel = _kernel_matrix_symmetric
+        kernel = _kernel_symmetric_literal
 
     # materialize the full product integrand (sliced along the first axis to
     # bound memory) and sum against the tensor-product weights

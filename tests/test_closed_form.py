@@ -17,7 +17,7 @@ from ifpt import (
     linear_transition_kernel,
     symmetric_linear_density,
 )
-from ifpt.forward import block_survival_symmetric
+from ifpt.forward import block_crossing_symmetric
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -222,7 +222,7 @@ class TestSymmetricLinearDensity:
         h = 1e-5
 
         def survival(t):
-            return float(block_survival_symmetric(np.array([x0]), u0, C * t + D, t - t0)[0])
+            return 1.0 - float(block_crossing_symmetric(np.array([x0]), u0, C * t + D, t - t0)[0])
 
         for t in (0.6, 1.1, 1.9):
             fd = -(survival(t + h) - survival(t - h)) / (2.0 * h)

@@ -23,18 +23,17 @@ from ifpt import (
 )
 from ifpt.core import ConvergenceError, NumericalConsistencyError
 from ifpt.forward import (
+    _WIDE,
     _band_strip,
-    _kernel_matrix_symmetric,
-    _propagate_upper,
+    _propagate,
     block_crossing_symmetric,
-    block_crossing_upper,
-    block_survival_symmetric,
-    block_survival_upper,
     bridge_crossing_symmetric,
     propagated_subdensity,
 )
 
 CFG = QuadratureConfig()
+UPPER = (1.0,)
+CORRIDOR = (1.0, -1.0)
 
 
 def const_boundary(side, level, value=1.0, horizon=1.0):
@@ -66,8 +65,14 @@ class TestInitSubdensity:
         assert state.survival == pytest.approx(expect, abs=1e-12)
 
     def test_kernel_vanishes_at_boundary(self):
-        val = _propagate_upper(np.zeros(1), np.ones(1), np.array([1.0]), 1.0, 1.0, 0.5)
+        val = _propagate(np.zeros(1), np.ones(1), np.array([1.0]), 1.0, 1.0, 0.5, UPPER)
         assert val[0] == 0.0
+
+    def test_corridor_kernel_vanishes_at_both_walls(self):
+        walls = np.array([-0.8, 0.8])
+        val = _propagate(np.array([0.3]), np.ones(1), walls, 1.0, 0.8, 0.5, CORRIDOR)
+        peak = 1.0 / math.sqrt(2.0 * math.pi * 0.5)
+        assert np.all(np.abs(val) <= 1e-15 * peak)
 
     def test_sloped_first_segment(self):
         grid = DyadicGrid(1.0, 1)
@@ -167,24 +172,6 @@ class TestBlockCrossing:
         with pytest.raises(ValueError):
             block_crossing_probability(b, 0.0, 2, CFG, state=state)
 
-    def test_complement_identities(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            dt = rng.uniform(0.01, 0.5)
-            g0 = rng.uniform(0.1, 2.0)
-            g1 = g0 + rng.uniform(-3.0, 3.0) * dt
-            x = np.linspace(min(g0, g1) - 4.0, g0 - 1e-9, 31)
-            s = block_survival_upper(x, g0, g1, dt) + block_crossing_upper(x, g0, g1, dt)
-            assert np.allclose(s, 1.0, atol=1e-13)
-            u0 = rng.uniform(0.3, 2.0)
-            u1 = u0 + rng.uniform(-1.0, 1.0) * dt
-            if u1 > 0.05:
-                xs = np.linspace(-u0 + 1e-6, u0 - 1e-6, 21)
-                tot = block_survival_symmetric(xs, u0, u1, dt) + block_crossing_symmetric(
-                    xs, u0, u1, dt
-                )
-                assert np.allclose(tot, 1.0, atol=1e-12)
-
 
 class TestFptTable:
     def test_constant_boundary_cdf_at_horizon(self):
@@ -270,9 +257,16 @@ def _dense_upper(x_in, mass_in, x_out, g0, g1, dt):
     return (bridge * gauss / math.sqrt(2.0 * math.pi * dt)) @ mass_in
 
 
-def _recorded_table(b, kernel, monkeypatch, name="_propagate_upper"):
+def _dense_reference(x_in, mass_in, x_out, g0, g1, dt, mirrors):
+    # the side's literal dense kernel, in the place of ``_propagate``
+    if mirrors == UPPER:
+        return _dense_upper(x_in, mass_in, x_out, g0, g1, dt)
+    return _literal_kernel(x_in, x_out, g0, g1, dt) @ mass_in
+
+
+def _recorded_table(b, kernel, monkeypatch):
     """Distribution table of ``b`` with ``kernel`` in place of the forward
-    module's ``name``, and every array the kernel returned on the way."""
+    module's ``_propagate``, and every array the kernel returned on the way."""
     import ifpt.forward as fw
 
     values = []
@@ -282,17 +276,22 @@ def _recorded_table(b, kernel, monkeypatch, name="_propagate_upper"):
         return values[-1]
 
     with monkeypatch.context() as mp:
-        mp.setattr(fw, name, record)
+        mp.setattr(fw, "_propagate", record)
         table = fpt_distribution_table(b, CFG)
     return values, table
 
 
 class TestBandedPropagation:
-    """The banded upper-side propagation against the dense kernel."""
+    """The banded propagation against the literal dense kernel, on the upper
+    side here and on the corridor in the subclass."""
+
+    side = BoundarySide.UPPER_ONLY
+    #: largest share of the input nodes one output node's band may span at n = 10
+    band_share = 1 / 4
 
     def assert_matches_dense(self, b, monkeypatch):
-        values, table = _recorded_table(b, _propagate_upper, monkeypatch)
-        dense_values, dense_table = _recorded_table(b, _dense_upper, monkeypatch)
+        values, table = _recorded_table(b, _propagate, monkeypatch)
+        dense_values, dense_table = _recorded_table(b, _dense_reference, monkeypatch)
         assert len(values) == b.grid.blocks
         for got, ref in zip(values, dense_values, strict=True):
             assert np.max(np.abs(got - ref), initial=0.0) <= 1e-13
@@ -302,14 +301,12 @@ class TestBandedPropagation:
     def test_solved_exponential_boundary(self, level, monkeypatch):
         from ifpt import SolverConfig, construct_boundary
 
-        sol = construct_boundary(
-            exponential_target(1.0), 1.0, level, BoundarySide.UPPER_ONLY, SolverConfig()
-        )
+        sol = construct_boundary(exponential_target(1.0), 1.0, level, self.side, SolverConfig())
         self.assert_matches_dense(sol.boundary, monkeypatch)
 
     def test_boundary_dipping_below_zero(self, monkeypatch):
         grid = DyadicGrid(1.0, 6)
-        b = PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, grid, 0.8 - 2.0 * grid.knots)
+        b = PiecewiseLinearBoundary(self.side, grid, 0.8 - 2.0 * grid.knots)
         assert b.knot_values[-1] < 0.0
         self.assert_matches_dense(b, monkeypatch)
 
@@ -317,22 +314,51 @@ class TestBandedPropagation:
         # alternating slopes of +-48 on blocks of width 1/32
         grid = DyadicGrid(1.0, 5)
         knots = np.where(np.arange(grid.blocks + 1) % 2 == 0, 0.5, 2.0)
-        b = PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, grid, knots)
+        b = PiecewiseLinearBoundary(self.side, grid, knots)
         self.assert_matches_dense(b, monkeypatch)
 
     def test_band_is_narrow_at_level_10(self):
         # the widest blocks are the last ones; their node sets depend only on
         # the window, so two steps from a point mass reach them
         dt = 2.0**-10
-        side = BoundarySide.UPPER_ONLY
         point = SubDensity(
             time=1.0 - 2.0 * dt, nodes=np.zeros(1), weights=np.ones(1), values=np.ones(1)
         )
-        before = propagated_subdensity(point, 1.0, 1.0, dt, side, CFG)
-        after = propagated_subdensity(before, 1.0, 1.0, dt, side, CFG)
+        before = propagated_subdensity(point, 1.0, 1.0, dt, self.side, CFG)
+        after = propagated_subdensity(before, 1.0, 1.0, dt, self.side, CFG)
         idx, inside = _band_strip(before.nodes, after.nodes, dt)
         assert inside.any(axis=1).all()
-        assert idx.shape[1] < before.nodes.size / 4
+        assert idx.shape[1] < before.nodes.size * self.band_share
+
+
+class TestBandedCorridor(TestBandedPropagation):
+    """The same checks on the corridor, where the dense reference is the
+    literal image sum, plus corridors that need the both-walls remainder.
+    The corridor's window is only 2g wide, so its band spans a larger share."""
+
+    side = BoundarySide.SYMMETRIC
+    band_share = 1 / 3
+
+    # a corridor must stay open: test_closing_corridor takes this one's place
+    test_boundary_dipping_below_zero = None
+
+    def test_closing_corridor(self, monkeypatch):
+        # from 0.8 in to 0.05, where 2 u**2 / dt = 0.32
+        grid = DyadicGrid(1.0, 6)
+        b = PiecewiseLinearBoundary(self.side, grid, 0.8 - 0.75 * grid.knots)
+        self.assert_matches_dense(b, monkeypatch)
+
+    def test_narrow_corridor(self, monkeypatch):
+        # 2 u**2 / dt = 5.12 at u = 0.2, dt = 1/64: every block runs the remainder
+        grid = DyadicGrid(1.0, 6)
+        b = PiecewiseLinearBoundary(self.side, grid, np.full(grid.blocks + 1, 0.2))
+        self.assert_matches_dense(b, monkeypatch)
+
+    def test_contracting_corridor(self, monkeypatch):
+        # from 1.5 down to 0.2: the remainder switches on in the last blocks
+        grid = DyadicGrid(1.0, 6)
+        b = PiecewiseLinearBoundary(self.side, grid, 1.5 - 1.3 * grid.knots)
+        self.assert_matches_dense(b, monkeypatch)
 
 
 class TestConsistencyGuards:
@@ -344,8 +370,8 @@ class TestConsistencyGuards:
         b = const_boundary(BoundarySide.UPPER_ONLY, 2, value=0.5)
         states = subdensities(b, CFG)
         next(states)
-        real = fw._propagate_upper
-        monkeypatch.setattr(fw, "_propagate_upper", lambda *a: 1.5 * real(*a))
+        real = fw._propagate
+        monkeypatch.setattr(fw, "_propagate", lambda *a: 1.5 * real(*a))
         with pytest.raises(NumericalConsistencyError):
             next(states)
 
@@ -368,25 +394,43 @@ def _literal_images(x0, u0, u1, dt):
     return direct, reflected
 
 
-def _literal_survival(x, u0, u1, dt):
+def _literal_inside(logw, centre, u1, dt):
+    # exp(logw) * P(-u1 < N(centre, dt) < u1), from the near tail
     s = math.sqrt(dt)
+    lo, hi = (-u1 - centre) / s, (u1 - centre) / s
+    p = np.where(centre < 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
+    with np.errstate(divide="ignore"):
+        return np.exp(logw + np.log(p))
 
-    def inside(logw, centre):
-        # exp(logw) * P(-u1 < N(centre, dt) < u1), from the near tail
-        lo, hi = (-u1 - centre) / s, (u1 - centre) / s
-        p = np.where(centre < 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
-        with np.errstate(divide="ignore"):
-            return np.exp(logw + np.log(p))
 
+def _literal_survival(x, u0, u1, dt):
     direct, reflected = _literal_images(x, u0, u1, dt)
-    return np.sum(inside(*direct) - inside(*reflected), axis=-1)
+    return np.sum(
+        _literal_inside(*direct, u1, dt) - _literal_inside(*reflected, u1, dt), axis=-1
+    )
+
+
+def _literal_crossing(x, u0, u1, dt):
+    # the two tails of the direct k = 0 image, plus the reflected images and
+    # less the other direct ones inside the corridor: every part is taken
+    # from its near tail, so tiny crossings keep their relative accuracy
+    s = math.sqrt(dt)
+    direct, reflected = _literal_images(x, u0, u1, dt)
+    tails = ndtr((-u1 - x) / s) + ndtr((x - u1) / s)
+    shifted = np.where(_LITERAL_K != 0, _literal_inside(*direct, u1, dt), 0.0)
+    return tails + np.sum(_literal_inside(*reflected, u1, dt) - shifted, axis=-1)
 
 
 def _literal_kernel(x_in, x_out, u0, u1, dt):
-    (la, ma), (lb, mb) = _literal_images(x_in, u0, u1, dt)
-    y = x_out[:, None, None]
-    terms = np.exp(la - (y - ma) ** 2 / (2.0 * dt)) - np.exp(lb - (y - mb) ** 2 / (2.0 * dt))
-    return terms.sum(axis=-1) / math.sqrt(2.0 * math.pi * dt)
+    y = x_out[:, None]
+    total = np.zeros((x_out.size, x_in.size))
+    for sign, (logw, centre) in zip((1.0, -1.0), _literal_images(x_in, u0, u1, dt)):
+        # an image whose largest exponent over the outputs is below -746
+        # underflows to exactly 0 everywhere, so skipping it changes no bit
+        gap = np.clip(centre, x_out.min(), x_out.max()) - centre
+        for k in np.flatnonzero(np.max(logw - gap**2 / (2.0 * dt), axis=0) > -746.0):
+            total += sign * np.exp(logw[:, k] - (y - centre[:, k]) ** 2 / (2.0 * dt))
+    return total / math.sqrt(2.0 * math.pi * dt)
 
 
 def _literal_bridge_crossing(x0, x1, u0, u1, dt):
@@ -411,16 +455,35 @@ def _random_corridors(count, seed):
             yield u0, u1, dt
 
 
+def _threshold_corridors(count, seed, side):
+    """Random corridors with 2 min(u0, u1)**2 / dt within 2% below
+    (``side`` = -1) or above (+1) the remainder threshold ``_WIDE``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dt = float(np.exp(rng.uniform(math.log(1e-4), math.log(0.3))))
+        m = math.sqrt(_WIDE * dt / 2.0 * (1.0 + side * rng.uniform(1e-3, 0.02)))
+        other = m + rng.uniform(0.0, 2.0) * dt
+        yield (m, other, dt) if rng.random() < 0.5 else (other, m, dt)
+
+
 class TestImageSeriesReference:
     """Every corridor function against the image sum over k = -30..30 with no
     early stop."""
 
     def test_block_survival_and_crossing(self):
+        # the crossing against one minus the literal survival
         for u0, u1, dt in _random_corridors(40, seed=11):
             x = np.linspace(-u0, u0, 23)[1:-1]
             ref = _literal_survival(x, u0, u1, dt)
-            assert np.max(np.abs(block_survival_symmetric(x, u0, u1, dt) - ref)) <= 1e-13
             assert np.max(np.abs(block_crossing_symmetric(x, u0, u1, dt) - (1.0 - ref))) <= 1e-13
+
+    def test_block_crossing_relative(self):
+        for u0, u1, dt in _random_corridors(40, seed=15):
+            x = np.linspace(-u0, u0, 23)[1:-1]
+            ref = _literal_crossing(x, u0, u1, dt)
+            got = block_crossing_symmetric(x, u0, u1, dt)
+            big = ref > 1e-250
+            assert np.all(np.abs(got[big] - ref[big]) <= 1e-12 * ref[big])
 
     def test_bridge_crossing(self):
         rng = np.random.default_rng(12)
@@ -437,9 +500,24 @@ class TestImageSeriesReference:
         for u0, u1, dt in _random_corridors(40, seed=14):
             x_in = np.linspace(-u0, u0, 41)[1:-1]
             x_out = np.linspace(-u1, u1, 37)[1:-1]
-            got = _kernel_matrix_symmetric(x_in, x_out, u0, u1, dt)
+            got = _kernel_columns(x_in, x_out, u0, u1, dt)
             ref = _literal_kernel(x_in, x_out, u0, u1, dt)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    def test_remainder_threshold(self, side):
+        # the remainder runs below _WIDE and is skipped above it; either way
+        # the kernel and the crossing keep the literal series' values
+        for u0, u1, dt in _threshold_corridors(20, seed=16 + side, side=side):
+            x_in = np.linspace(-u0, u0, 41)[1:-1]
+            x_out = np.linspace(-u1, u1, 37)[1:-1]
+            got = _kernel_columns(x_in, x_out, u0, u1, dt)
+            ref = _literal_kernel(x_in, x_out, u0, u1, dt)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            crossing = block_crossing_symmetric(x_in, u0, u1, dt)
+            assert np.max(np.abs(crossing - (1.0 - _literal_survival(x_in, u0, u1, dt)))) <= 1e-13
+            ref = _literal_crossing(x_in, u0, u1, dt)
+            assert np.all(np.abs(crossing - ref) <= 1e-12 * ref)
 
     def test_table_with_literal_kernel(self, monkeypatch):
         from ifpt import SolverConfig, construct_boundary
@@ -448,13 +526,19 @@ class TestImageSeriesReference:
             exponential_target(1.0), 1.0, 6, BoundarySide.SYMMETRIC, SolverConfig()
         )
         b = sol.boundary
-        kernel = "_kernel_matrix_symmetric"
-        values, table = _recorded_table(b, _kernel_matrix_symmetric, monkeypatch, kernel)
-        ref_values, ref_table = _recorded_table(b, _literal_kernel, monkeypatch, kernel)
+        values, table = _recorded_table(b, _propagate, monkeypatch)
+        ref_values, ref_table = _recorded_table(b, _dense_reference, monkeypatch)
         assert len(values) == b.grid.blocks
         for got, ref in zip(values, ref_values, strict=True):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.max(np.abs(table.block_masses - ref_table.block_masses)) <= 1e-13
+
+
+def _kernel_columns(x_in, x_out, u0, u1, dt):
+    # the banded corridor kernel as a matrix, one unit input mass at a time
+    return np.column_stack(
+        [_propagate(x_in, e, x_out, u0, u1, dt, CORRIDOR) for e in np.eye(x_in.size)]
+    )
 
 
 class TestImageSeriesBudget:
@@ -466,10 +550,9 @@ class TestImageSeriesBudget:
     def test_every_corridor_function_raises(self):
         x = np.linspace(-0.9, 0.9, 7)
         calls = (
-            lambda: block_survival_symmetric(x, 1.0, 1e-7, 0.5),
             lambda: block_crossing_symmetric(x, 1.0, 1e-7, 0.5),
             lambda: bridge_crossing_symmetric(x, np.zeros_like(x), 1.0, 1e-7, 0.5),
-            lambda: _kernel_matrix_symmetric(x, np.array([0.0]), 1.0, 1e-7, 0.5),
+            lambda: _propagate(x, np.ones_like(x), np.array([0.0]), 1.0, 1e-7, 0.5, CORRIDOR),
         )
         for call in calls:
             with pytest.raises(ConvergenceError, match=self.MESSAGE):
