@@ -63,6 +63,7 @@ from scipy.special import log_ndtr, ndtr, roots_legendre
 from .core import (
     BoundarySide,
     ConvergenceError,
+    DyadicGrid,
     NumericalConsistencyError,
     PiecewiseLinearBoundary,
     SubDensity,
@@ -547,6 +548,19 @@ class FptTable:
     block_masses: np.ndarray
     avg_density: np.ndarray
 
+    @classmethod
+    def from_survivals(cls, grid: DyadicGrid, survivals: list[float]) -> "FptTable":
+        """Table of a forward pass whose survivals at knots 1..blocks of
+        ``grid`` are ``survivals``; each block's mass is its survival drop."""
+        s = np.array([1.0, *survivals])
+        masses = np.concatenate([[0.0], np.maximum(-np.diff(s), 0.0)])
+        return cls(
+            times=grid.knots.copy(),
+            cdf=1.0 - s,
+            block_masses=masses,
+            avg_density=masses / grid.block_width,
+        )
+
     @property
     def final_survival(self) -> float:
         return 1.0 - float(self.cdf[-1])
@@ -561,15 +575,7 @@ class FptTable:
 
 def fpt_distribution_table(b: PiecewiseLinearBoundary, cfg: QuadratureConfig) -> FptTable:
     """Tabulate cdf, block masses and block-average densities at all knots."""
-    dt = b.grid.block_width
-    survivals = np.array([1.0] + [state.survival for state in subdensities(b, cfg)])
-    masses = np.concatenate([[0.0], np.maximum(-np.diff(survivals), 0.0)])
-    return FptTable(
-        times=b.grid.knots.copy(),
-        cdf=1.0 - survivals,
-        block_masses=masses,
-        avg_density=masses / dt,
-    )
+    return FptTable.from_survivals(b.grid, [state.survival for state in subdensities(b, cfg)])
 
 
 def residual_fgkey(

@@ -8,6 +8,12 @@ so it has a unique root, found by safeguarded regula falsi (Illinois
 variant) inside a bracket.  Block m >= 2 starts its bracket at block m-1's
 slope, so a smooth boundary needs about five crossing-mass evaluations per
 block; block 1 starts cold from ±``bracket_halfwidth``.
+
+The solve propagates the absorbed state across every block once, and the
+survivals of those states are the solved boundary's hitting-time table
+(``InverseSolution.table``).  The refinement ladder reads each level's block
+masses, and so its nested defect, from these survival drops instead of a
+second forward pass over the solved boundary.
 """
 from __future__ import annotations
 
@@ -25,6 +31,7 @@ from .core import (
     ConvergenceError,
     DyadicGrid,
     InfeasibleTargetError,
+    MAX_LEVEL,
     PiecewiseLinearBoundary,
     SubDensity,
     TargetDistribution,
@@ -33,12 +40,14 @@ from .core import (
     validate_target,
 )
 from .forward import (
+    FptTable,
     QuadratureConfig,
     crossing_mass,
-    fpt_distribution_table,
     initial_subdensity,
     propagated_subdensity,
 )
+# Unused here; kept importable because the benchmark's tracer wraps this name.
+from .forward import fpt_distribution_table  # noqa: F401
 
 __all__ = [
     "SolverConfig",
@@ -292,11 +301,16 @@ class InverseSolution:
     ``max_abs_slope`` is the largest magnitude among the solved quantities
     (the first block's constant level included), the empirical counterpart
     of the uniform slope bound behind the refinement argument.
+
+    ``table`` is the hitting-time table of the solve's own forward pass:
+    the survivals of the states it propagated to knots 1..blocks.  It equals
+    ``fpt_distribution_table(boundary, cfg.quadrature)`` bit for bit.
     """
 
     boundary: PiecewiseLinearBoundary
     records: tuple[BlockSolveRecord, ...]
     max_abs_slope: float
+    table: FptTable
 
     def diagnostics(self, nested_defect: float | None = None) -> dict:
         return {
@@ -346,6 +360,7 @@ def construct_boundary(
     records.append(rec)
     knots[0] = knots[1] = alpha0
     state = initial_subdensity(alpha0, alpha0, dt, side, cfg.quadrature)
+    survivals = [state.survival]
 
     # Block m starts from block m-1's slope and first steps twice the last
     # slope change (block 1's change is taken from slope 0).
@@ -367,6 +382,7 @@ def construct_boundary(
         state = propagated_subdensity(
             state, float(knots[m]), float(knots[m + 1]), dt, side, cfg.quadrature
         )
+        survivals.append(state.survival)
 
     boundary = PiecewiseLinearBoundary(side, grid, knots)
     max_abs = max(abs(r.alpha) for r in records)
@@ -377,7 +393,12 @@ def construct_boundary(
             max_abs,
             cfg.slope_warn_threshold,
         )
-    return InverseSolution(boundary=boundary, records=tuple(records), max_abs_slope=max_abs)
+    return InverseSolution(
+        boundary=boundary,
+        records=tuple(records),
+        max_abs_slope=max_abs,
+        table=FptTable.from_survivals(grid, survivals),
+    )
 
 
 @dataclass(frozen=True)
@@ -403,9 +424,10 @@ class LevelReport:
 class RefinementReport:
     """Solutions across grid levels with stabilization diagnostics.
 
-    ``nested_defect`` at each level compares an independently recomputed
-    forward pass of the solved boundary, aggregated onto the coarsest grid,
-    against the coarse target masses.  ``horizon`` is recorded so ladders
+    ``nested_defect`` at each level compares the solved boundary's block
+    masses, the survival drops of the solve's own forward pass
+    (``InverseSolution.table``) aggregated onto the coarsest grid, against
+    the coarse target masses.  ``horizon`` is recorded so ladders
     for different horizons can be compared externally.
     """
 
@@ -433,8 +455,8 @@ def refine(
     """Solve the inverse problem on levels n_min..n_max and report how the
     boundaries stabilize across the nested grids."""
     cfg = cfg or SolverConfig()
-    if n_min < 1 or n_max < n_min:
-        raise ValueError("need 1 <= n_min <= n_max")
+    if not 1 <= n_min <= n_max <= MAX_LEVEL:
+        raise ValueError(f"need 1 <= n_min <= n_max <= {MAX_LEVEL}")
     coarse = DyadicGrid(horizon, n_min)
     coarse_masses = np.array(
         [block_mass(d, coarse.knot(m), coarse.knot(m + 1)) for m in range(coarse.blocks)]
@@ -447,8 +469,7 @@ def refine(
         if prev_boundary is not None:
             ts = prev_boundary.grid.knots
             sup_prev = float(np.max(np.abs(sol.boundary.upper(ts) - prev_boundary.upper(ts))))
-        table = fpt_distribution_table(sol.boundary, cfg.quadrature)
-        fine_masses = table.block_masses[1:]
+        fine_masses = sol.table.block_masses[1:]
         grouped = fine_masses.reshape(coarse.blocks, -1).sum(axis=1)
         defect = float(np.max(np.abs(grouped - coarse_masses)))
         reports.append(

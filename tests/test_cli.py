@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import ifpt.inverse as inv
 from ifpt import read_boundary_csv
 from ifpt.cli import main, parse_target_spec
 
@@ -169,3 +170,14 @@ class TestConvergenceCommand:
         assert [lv["level"] for lv in report["levels"]] == [2, 3, 4]
         for n in (2, 3, 4):
             assert (tmp_path / f"boundary_n{n}.csv").exists()
+
+    def test_level_above_cap_exits_2_before_solving(self, tmp_path, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a level was solved before the level check")
+
+        monkeypatch.setattr(inv, "construct_boundary", no_solve)
+        code = run("convergence", "--target", "exp:1", "--T", 1, "--n-min", 2, "--n-max", 15,
+                   "--out", tmp_path / "ladder")
+        assert code == 2
+        assert "n_max" in capsys.readouterr().err
+        assert not (tmp_path / "ladder").exists()

@@ -21,9 +21,10 @@ from ifpt import (
     solve_first_block,
     uniform_target,
 )
+import ifpt.forward as fwd
 import ifpt.inverse as inv
-from ifpt.core import SURVIVAL_MASS_EPSILON
-from ifpt.forward import crossing_mass, initial_subdensity
+from ifpt.core import MAX_LEVEL, SURVIVAL_MASS_EPSILON
+from ifpt.forward import crossing_mass, fpt_distribution_table, initial_subdensity
 
 CFG = SolverConfig()
 UP = BoundarySide.UPPER_ONLY
@@ -265,11 +266,64 @@ class TestRefine:
         with pytest.raises(ValueError):
             refine(exponential_target(1.0), 1.0, 3, 2, UP, CFG)
 
+    def test_level_cap_checked_before_any_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("construct_boundary called before the level check")
+
+        monkeypatch.setattr(inv, "construct_boundary", no_solve)
+        with pytest.raises(ValueError, match=str(MAX_LEVEL)):
+            refine(exponential_target(1.0), 1.0, 2, MAX_LEVEL + 1, UP, CFG)
+
+    @pytest.mark.parametrize("side", [UP, SYM])
+    def test_solver_table_is_the_forward_table(self, side):
+        # the ladder reads its block masses from the solve's own survivals;
+        # a separate forward pass over the solved boundary gives the same bits
+        d = exponential_target(1.0)
+        report = refine(d, 1.0, 3, 5, side, CFG)
+        coarse = DyadicGrid(1.0, 3)
+        coarse_masses = np.array(
+            [block_mass(d, coarse.knot(m), coarse.knot(m + 1)) for m in range(coarse.blocks)]
+        )
+        for lv in report.levels:
+            table = fpt_distribution_table(lv.solution.boundary, CFG.quadrature)
+            grouped = table.block_masses[1:].reshape(coarse.blocks, -1).sum(axis=1)
+            assert lv.nested_defect == float(np.max(np.abs(grouped - coarse_masses)))
+            assert np.array_equal(lv.solution.table.cdf, table.cdf)
+            assert np.array_equal(lv.solution.table.block_masses, table.block_masses)
+
     def test_exponential_ladder_distances_shrink_from_level_four(self):
         report = refine(exponential_target(1.0), 1.0, 2, 8, UP, CFG)
         dists = {lv.level: lv.sup_distance_prev for lv in report.levels}
         for n in (5, 6, 7, 8):
             assert dists[n] < dists[n - 1]
+
+
+class TestPropagationCount:
+    """Every block is propagated once: ``_step`` is the single step behind
+    both the first knot and every later one."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        calls = []
+        step = fwd._step
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(fwd, "_step", counted)
+        return calls
+
+    @pytest.mark.parametrize("side", [UP, SYM])
+    @pytest.mark.parametrize("level", [3, 6])
+    def test_construct_boundary_steps_once_per_block(self, steps, side, level):
+        construct_boundary(exponential_target(1.0), 1.0, level, side, CFG)
+        assert len(steps) == 2**level
+
+    @pytest.mark.parametrize("side", [UP, SYM])
+    def test_refine_adds_no_forward_pass(self, steps, side):
+        refine(exponential_target(1.0), 1.0, 3, 5, side, CFG)
+        assert len(steps) == 8 + 16 + 32
 
 
 class TestNonUnitHorizon:
