@@ -33,6 +33,7 @@ __all__ = [
     "block_mass",
     "TargetValidationReport",
     "validate_target",
+    "LatticeCells",
     "SubDensity",
     "BlockSolveRecord",
     "read_boundary_csv",
@@ -371,18 +372,33 @@ def validate_target(
 
 
 @dataclass(frozen=True)
+class LatticeCells:
+    """A run of ``count`` full cells [k*width, (k+1)*width), k = first_cell,
+    first_cell + 1, ..., of a lattice anchored at 0.  Their nodes are
+    consecutive from index ``first_node``, with the same panel rule in every
+    cell."""
+
+    width: float
+    first_cell: int
+    count: int
+    first_node: int
+
+
+@dataclass(frozen=True)
 class SubDensity:
     """Absorbed transition density of the hitting process at one knot time.
 
     Nodes are spatial quadrature abscissae strictly inside the alive region,
     in increasing order; the weighted sum of values is the survival
-    probability.
+    probability.  ``cells`` names the nodes that fill whole lattice cells
+    (None: no such run).
     """
 
     time: float
     nodes: np.ndarray
     weights: np.ndarray
     values: np.ndarray
+    cells: LatticeCells | None = None
 
     def __post_init__(self) -> None:
         nodes = _readonly(self.nodes)

@@ -44,6 +44,29 @@ free Gaussian, so every dropped entry is below exp(-c**2/2) of the kernel's
 peak (about 2.6e-18 for c = 9) and the mass dropped per block is at most
 2*Phi(-c) (about 2.3e-19) of the survival.
 
+Most of the band is one constant matrix.  The quadrature panels sit on a
+lattice fixed for the whole solve: cells [k*h, (k+1)*h) of width
+h = 3*sqrt(dt), anchored at 0, each holding the 12 Gauss-Legendre nodes
+(k + 1/2)*h + h*xi_p/2.  The window's far ends are rounded out to lattice
+lines, so only a cell cut by a wall is not full; it is graded toward the
+wall, and a piece narrower than h/4 joins its neighbour cell.  A full cell
+is regular when every wall of its knot is at least 2 cells (6 standard
+deviations) away.  Between a regular input cell (walls at g0) and a regular
+output cell (walls at g1) each one-wall exponent -2(g1 - s*x)(g0 - s*y)/dt
+is at most -2*6*6 = -72, so the wall factor is 1 within exp(-72), below
+half an ulp of 1; and the corridor's remainder never arises there, since
+both walls are then at least 7.5 standard deviations out, 2*m**2/dt >= 112
+> ``_WIDE``.  So the kernel between regular cells is the free Gaussian, which
+depends only on how many cells apart they are: for offsets o = -3..3, which
+cover the 9-sigma band, it is the 12 x 12 block
+K_o[p, q] = exp(-(3*o + 1.5*(xi_p - xi_q))**2 / 2), the same for every dt
+(Greengard & Strain's fast Gauss transform uses this translation
+invariance).  Every other entry, from or to an irregular cell, is evaluated
+on the band as above.  A window holding fewer than nodes_per_block/12 full
+cells keeps equal panels and has no regular cells, so ``nodes_per_block``
+stays a floor; such blocks, the first knot's point mass and narrow corridors
+take the band alone.
+
 Per-block crossing probabilities from a fixed state have closed forms, so
 slope candidates during root finding cost O(nodes) while the full
 propagation runs once per block.  The first knot's density is one
@@ -64,6 +87,7 @@ from .core import (
     BoundarySide,
     ConvergenceError,
     DyadicGrid,
+    LatticeCells,
     NumericalConsistencyError,
     PiecewiseLinearBoundary,
     SubDensity,
@@ -98,6 +122,14 @@ _PANEL_SIGMAS = 3.0
 #: Half-width of the propagation band in units of sqrt(block width); kernel
 #: entries beyond it are below exp(-81/2) of the peak.
 _BAND_SIGMAS = 9.0
+
+#: Lattice cells the Toeplitz product reaches on either side: nodes of cells
+#: further apart are more than ``_BAND_SIGMAS`` standard deviations apart.
+_REACH_CELLS = 3
+
+#: A full cell is regular when each wall of its knot is at least this many
+#: cells away; between regular cells the wall factor is 1 within exp(-72).
+_WALL_CELLS = 2
 
 #: The corridor's both-walls remainder runs only while 2*min(u0, u1)**2/dt
 #: is below this; past it the remainder is below 2*exp(-45) (module docstring).
@@ -151,23 +183,65 @@ def _grade_edges(edges: np.ndarray, at_start: bool, at_end: bool) -> np.ndarray:
     return edges
 
 
-def _nodes_weights(
-    lo: float, hi: float, dt: float, cfg: QuadratureConfig, grade_lo: bool, grade_hi: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    width = hi - lo
-    target = _PANEL_SIGMAS * math.sqrt(dt)
-    panels = max(
-        2,
-        int(math.ceil(cfg.nodes_per_block / _PANEL_ORDER)),
-        int(math.ceil(width / target)),
-    )
-    edges = _grade_edges(np.linspace(lo, hi, panels + 1), grade_lo, grade_hi)
+def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of the panels between ``edges``."""
     xg, wg = _gl(_PANEL_ORDER)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
-    x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    return x, w
+    x = mid[:, None] + half[:, None] * xg[None, :]
+    return x.ravel(), (half[:, None] * wg[None, :]).ravel()
+
+
+def _nodes_weights(
+    mirrors: tuple[float, ...], g: float, t: float, dt: float, cfg: QuadratureConfig
+) -> tuple[np.ndarray, np.ndarray, LatticeCells | None] | None:
+    """Quadrature of the spatial window at time ``t`` with wall value ``g``,
+    and the run of full lattice cells among its panels (module docstring);
+    None if the window is empty.
+
+    The window carries all but ~Phi(-width) of the absorbed mass: it reaches
+    ``truncation_width`` standard deviations of the diffusion bulk, rounded
+    out to lattice lines, and is cut by the upper wall and, on the corridor,
+    by its mirror.
+    """
+    h = _PANEL_SIGMAS * math.sqrt(dt)
+    reach = math.ceil(cfg.truncation_width * math.sqrt(t) / h)
+    walled = g <= reach * h
+    hi = g if walled else reach * h
+    corridor = -1.0 in mirrors
+    lo = -hi if corridor else -reach * h
+    if not hi > lo:
+        return None
+    wall_lo = corridor and walled
+    # full cells k0..k1-1; a wall piece narrower than h/4 joins its neighbour
+    k0 = math.ceil(lo / h) if wall_lo else -reach
+    k1 = math.floor(hi / h) if walled else reach
+    if wall_lo and k0 * h - lo < 0.25 * h:
+        k0 += 1
+    if walled and hi - k1 * h < 0.25 * h:
+        k1 -= 1
+    if k1 - k0 < math.ceil(cfg.nodes_per_block / _PANEL_ORDER):
+        # too few cells to keep ``nodes_per_block`` a floor: equal panels
+        panels = max(
+            2,
+            int(math.ceil(cfg.nodes_per_block / _PANEL_ORDER)),
+            int(math.ceil((hi - lo) / h)),
+        )
+        return (*_panel_nodes(_grade_edges(np.linspace(lo, hi, panels + 1), wall_lo, walled)), None)
+    xg, wg = _gl(_PANEL_ORDER)
+    k = np.arange(k0, k1, dtype=float)
+    x = [((k[:, None] + 0.5) * h + (0.5 * h) * xg[None, :]).ravel()]
+    w = [np.tile((0.5 * h) * wg, k1 - k0)]
+    if wall_lo:
+        lx, lw = _panel_nodes(_grade_edges(np.array([lo, k0 * h]), True, False))
+        x.insert(0, lx)
+        w.insert(0, lw)
+    if walled:
+        hx, hw = _panel_nodes(_grade_edges(np.array([k1 * h, hi]), False, True))
+        x.append(hx)
+        w.append(hw)
+    first = x[0].size if wall_lo else 0
+    return np.concatenate(x), np.concatenate(w), LatticeCells(h, k0, k1 - k0, first)
 
 
 #: Wall signs of the corridor: the upper wall x = g and its mirror x = -g.
@@ -182,19 +256,6 @@ def _mirrors(side: BoundarySide) -> tuple[float, ...]:
 def _narrow(mirrors: tuple[float, ...], g0: float, g1: float, dt: float) -> bool:
     """Whether the block needs the corridor's both-walls remainder."""
     return -1.0 in mirrors and 2.0 * min(g0, g1) ** 2 < _WIDE * dt
-
-
-def _alive_interval(
-    mirrors: tuple[float, ...], g_t: float, t: float, cfg: QuadratureConfig
-) -> tuple[float, float] | None:
-    """Spatial window carrying all but ~Phi(-width) of the absorbed mass,
-    cut by the upper wall and, on the corridor, by its mirror."""
-    reach = cfg.truncation_width * math.sqrt(t)
-    hi = min(g_t, reach)
-    lo = -hi if -1.0 in mirrors else -reach
-    if not hi > lo:
-        return None
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +440,7 @@ def _kernel_remainder(x_in, idx, x_out, u0: float, u1: float, dt: float, peak: f
     return _image_series(x_in, u0, u1, dt, image, peak)
 
 
-def _propagate(
+def _banded(
     x_in: np.ndarray,
     mass_in: np.ndarray,
     x_out: np.ndarray,
@@ -388,15 +449,10 @@ def _propagate(
     dt: float,
     mirrors: tuple[float, ...],
 ) -> np.ndarray:
-    """Absorbed density at ``x_out`` after one block inside the walls
-    s*x = g (s in ``mirrors``, g linear g0 -> g1), from point masses
-    ``mass_in`` (weight times value) at ``x_in``.
-
-    Banded mat-vec: only the input nodes within the band of each output node
-    are evaluated, and padded strip slots carry mass 0.  Each entry is the
-    free Gaussian times :func:`_wall_factor`, plus the both-walls remainder
-    on a narrow corridor.
-    """
+    """The kernel entry by entry on the band: only the input nodes within
+    the band of each output node are evaluated, and padded strip slots carry
+    mass 0.  Each entry is the free Gaussian times :func:`_wall_factor`,
+    plus the both-walls remainder on a narrow corridor."""
     idx, inside = _band_strip(x_in, x_out, dt)
     xs = x_in[idx]
     gauss = np.exp(-np.square(x_out[:, None] - xs) / (2.0 * dt))
@@ -405,6 +461,100 @@ def _propagate(
         kernel += _kernel_remainder(x_in, idx, x_out, g0, g1, dt, float(gauss.max(initial=0.0)))
     mass = np.where(inside, mass_in[idx], 0.0)
     return np.einsum("ij,ij->i", kernel, mass) / math.sqrt(2.0 * math.pi * dt)
+
+
+def _toeplitz_blocks() -> np.ndarray:
+    """The direct Gaussian exp(-(x - y)**2 / (2 dt)) from the nodes y of
+    lattice cell c - o to the nodes x of cell c, for o = _REACH_CELLS, ...,
+    -_REACH_CELLS, stacked as rows (o, q) by columns p.  In units of the
+    cell width x - y = o + (xi_p - xi_q) / 2, so the blocks do not depend on
+    dt."""
+    xg, _ = _gl(_PANEL_ORDER)
+    o = np.arange(_REACH_CELLS, -_REACH_CELLS - 1, -1, dtype=float)
+    z = _PANEL_SIGMAS * (o[:, None, None] + 0.5 * (xg[None, None, :] - xg[None, :, None]))
+    return np.exp(-0.5 * z**2).reshape(-1, _PANEL_ORDER)
+
+
+_TOEPLITZ = _toeplitz_blocks()
+
+
+def _toeplitz(mass: np.ndarray, c_in: int, c_out: int, n_out: int) -> np.ndarray:
+    """Direct Gaussian sums into the ``n_out`` cells from lattice cell
+    ``c_out`` on, from the masses of the consecutive cells from ``c_in`` on:
+    seven 12 x 12 blocks applied as one matrix product."""
+    r = _REACH_CELLS
+    mass = mass.reshape(-1, _PANEL_ORDER)
+    pad = np.zeros((n_out + 2 * r, _PANEL_ORDER))
+    lo = max(c_in, c_out - r)
+    hi = min(c_in + mass.shape[0], c_out + n_out + r)
+    if hi > lo:
+        pad[lo - c_out + r : hi - c_out + r] = mass[lo - c_in : hi - c_in]
+    windows = pad[np.arange(n_out)[:, None] + np.arange(2 * r + 1)]
+    return (windows.reshape(n_out, -1) @ _TOEPLITZ).ravel()
+
+
+def _regular(
+    cells: LatticeCells | None, g: float, dt: float, mirrors: tuple[float, ...]
+) -> tuple[slice, int] | None:
+    """The nodes and the first lattice index of the cells of ``cells`` at
+    least ``_WALL_CELLS`` cells from every wall s*x = g; None if there
+    are none or ``cells`` is not on this block's lattice."""
+    h = _PANEL_SIGMAS * math.sqrt(dt)
+    if cells is None or cells.width != h:
+        return None
+    # cell k is clear of x = g iff k < room, and of x = -g iff k >= -room
+    room = math.floor(g / h) - _WALL_CELLS
+    first = max(cells.first_cell, -room) if -1.0 in mirrors else cells.first_cell
+    stop = min(cells.first_cell + cells.count, room)
+    if stop <= first:
+        return None
+    start = cells.first_node + _PANEL_ORDER * (first - cells.first_cell)
+    return slice(start, start + _PANEL_ORDER * (stop - first)), first
+
+
+def _propagate(
+    x_in: np.ndarray,
+    mass_in: np.ndarray,
+    x_out: np.ndarray,
+    g0: float,
+    g1: float,
+    dt: float,
+    mirrors: tuple[float, ...],
+    cells_in: LatticeCells | None = None,
+    cells_out: LatticeCells | None = None,
+) -> np.ndarray:
+    """Absorbed density at ``x_out`` after one block inside the walls
+    s*x = g (s in ``mirrors``, g linear g0 -> g1), from point masses
+    ``mass_in`` (weight times value) at ``x_in``.
+
+    Between the regular lattice cells of the input (``cells_in``, walls at
+    g0) and of the output (``cells_out``, walls at g1) the kernel is the
+    free Gaussian, summed by :func:`_toeplitz`; every other entry is
+    evaluated on the band by :func:`_banded`.
+    """
+    reg_in = _regular(cells_in, g0, dt, mirrors)
+    reg_out = _regular(cells_out, g1, dt, mirrors)
+    if reg_in is None or reg_out is None:
+        return _banded(x_in, mass_in, x_out, g0, g1, dt, mirrors)
+    (rin, c_in), (rout, c_out) = reg_in, reg_out
+    out = np.empty(x_out.size)
+    # irregular outputs from every input
+    rows = np.r_[0 : rout.start, rout.stop : x_out.size]
+    out[rows] = _banded(x_in, mass_in, x_out[rows], g0, g1, dt, mirrors)
+    # regular outputs: the Toeplitz sum over regular inputs, and the band
+    # over the irregular inputs for the rows that reach any
+    gauss = _toeplitz(mass_in[rin], c_in, c_out, (rout.stop - rout.start) // _PANEL_ORDER)
+    out[rout] = gauss / math.sqrt(2.0 * math.pi * dt)
+    x_irr = np.concatenate([x_in[: rin.start], x_in[rin.stop :]])
+    m_irr = np.concatenate([mass_in[: rin.start], mass_in[rin.stop :]])
+    x_reg = x_out[rout]
+    reach = _BAND_SIGMAS * math.sqrt(dt)
+    near = np.flatnonzero(
+        np.searchsorted(x_irr, x_reg + reach, side="right")
+        > np.searchsorted(x_irr, x_reg - reach, side="left")
+    )
+    out[rout.start + near] += _banded(x_irr, m_irr, x_reg[near], g0, g1, dt, mirrors)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +569,7 @@ def _empty_state(t: float) -> SubDensity:
 def _step(
     x_in: np.ndarray,
     mass_in: np.ndarray,
+    cells_in: LatticeCells | None,
     t1: float,
     g0: float,
     g1: float,
@@ -429,13 +580,12 @@ def _step(
     """Absorbed density at time ``t1`` after one block of width ``dt`` with
     boundary values g0 -> g1, from point masses ``mass_in`` at ``x_in``."""
     mirrors = _mirrors(side)
-    window = _alive_interval(mirrors, g1, t1, cfg)
-    if window is None:
+    quad = _nodes_weights(mirrors, g1, t1, dt, cfg)
+    if quad is None:
         return _empty_state(t1)
-    lo, hi = window
-    x, w = _nodes_weights(lo, hi, dt, cfg, grade_lo=lo == -g1 and -1.0 in mirrors, grade_hi=hi == g1)
-    vals = _propagate(x_in, mass_in, x, g0, g1, dt, mirrors)
-    return SubDensity(time=t1, nodes=x, weights=w, values=vals)
+    x, w, cells = quad
+    vals = _propagate(x_in, mass_in, x, g0, g1, dt, mirrors, cells_in, cells)
+    return SubDensity(time=t1, nodes=x, weights=w, values=vals, cells=cells)
 
 
 def initial_subdensity(
@@ -445,7 +595,7 @@ def initial_subdensity(
     one block from a unit point mass at the origin."""
     if g0 <= 0.0:
         raise ValueError("boundary must start strictly above the origin")
-    return _step(np.zeros(1), np.ones(1), t1, g0, g1, t1, side, cfg)
+    return _step(np.zeros(1), np.ones(1), None, t1, g0, g1, t1, side, cfg)
 
 
 def propagated_subdensity(
@@ -461,7 +611,9 @@ def propagated_subdensity(
     t1 = state.time + dt
     if state.nodes.size == 0:
         return _empty_state(t1)
-    out = _step(state.nodes, state.weights * state.values, t1, g0, g1, dt, side, cfg)
+    out = _step(
+        state.nodes, state.weights * state.values, state.cells, t1, g0, g1, dt, side, cfg
+    )
     if out.survival > state.survival + _SURVIVAL_SLACK:
         raise NumericalConsistencyError(
             f"survival increased across block ending at t={t1:g}: "

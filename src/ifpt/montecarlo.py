@@ -31,9 +31,6 @@ import numpy as np
 from .core import BoundarySide, PiecewiseLinearBoundary, TargetDistribution
 from .forward import (
     QuadratureConfig,
-    _alive_interval,
-    _mirrors,
-    _nodes_weights,
     bridge_crossing_symmetric,
     bridge_crossing_upper,
 )
@@ -216,11 +213,22 @@ def ks_block_distance(e: EmpiricalHittingDistribution, d: TargetDistribution) ->
 
 
 def _dim_nodes(b: PiecewiseLinearBoundary, k: int, cfg: QuadratureConfig):
-    window = _alive_interval(_mirrors(b.side), float(b.knot_values[k]), b.grid.knot(k), cfg)
-    if window is None:
+    # equal 12-point Gauss-Legendre panels, at most 3*sqrt(dt) wide, over
+    # truncation_width*sqrt(t) around 0 cut by the walls at knot k; built
+    # here so the tensor route shares no quadrature machinery with the
+    # sequential propagation it cross-checks
+    dt = b.grid.block_width
+    reach = cfg.truncation_width * math.sqrt(b.grid.knot(k))
+    hi = min(float(b.knot_values[k]), reach)
+    lo = -hi if b.side is BoundarySide.SYMMETRIC else -reach
+    if not hi > lo:
         return None
-    lo, hi = window
-    return _nodes_weights(lo, hi, b.grid.block_width, cfg, grade_lo=False, grade_hi=False)
+    panels = max(2, math.ceil(cfg.nodes_per_block / 12), math.ceil((hi - lo) / (3.0 * math.sqrt(dt))))
+    edges = np.linspace(lo, hi, panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * np.diff(edges)
+    xg, wg = np.polynomial.legendre.leggauss(12)
+    return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
 
 
 def _kernel_upper_literal(x_in, x_out, g0: float, g1: float, dt: float) -> np.ndarray:

@@ -23,9 +23,12 @@ from ifpt import (
 )
 from ifpt.core import ConvergenceError, NumericalConsistencyError
 from ifpt.forward import (
+    _TOEPLITZ,
     _WIDE,
     _band_strip,
+    _gl,
     _propagate,
+    _regular,
     block_crossing_symmetric,
     bridge_crossing_symmetric,
     propagated_subdensity,
@@ -257,8 +260,9 @@ def _dense_upper(x_in, mass_in, x_out, g0, g1, dt):
     return (bridge * gauss / math.sqrt(2.0 * math.pi * dt)) @ mass_in
 
 
-def _dense_reference(x_in, mass_in, x_out, g0, g1, dt, mirrors):
-    # the side's literal dense kernel, in the place of ``_propagate``
+def _dense_reference(x_in, mass_in, x_out, g0, g1, dt, mirrors, *cells):
+    # the side's literal dense kernel, in the place of ``_propagate``; the
+    # lattice cells of the node sets play no part in it
     if mirrors == UPPER:
         return _dense_upper(x_in, mass_in, x_out, g0, g1, dt)
     return _literal_kernel(x_in, x_out, g0, g1, dt) @ mass_in
@@ -317,18 +321,45 @@ class TestBandedPropagation:
         b = PiecewiseLinearBoundary(self.side, grid, knots)
         self.assert_matches_dense(b, monkeypatch)
 
-    def test_band_is_narrow_at_level_10(self):
+    def last_blocks(self, level):
         # the widest blocks are the last ones; their node sets depend only on
         # the window, so two steps from a point mass reach them
-        dt = 2.0**-10
+        dt = 2.0**-level
         point = SubDensity(
             time=1.0 - 2.0 * dt, nodes=np.zeros(1), weights=np.ones(1), values=np.ones(1)
         )
         before = propagated_subdensity(point, 1.0, 1.0, dt, self.side, CFG)
+        return before, dt
+
+    def test_band_is_narrow_at_level_10(self):
+        before, dt = self.last_blocks(10)
         after = propagated_subdensity(before, 1.0, 1.0, dt, self.side, CFG)
         idx, inside = _band_strip(before.nodes, after.nodes, dt)
         assert inside.any(axis=1).all()
         assert idx.shape[1] < before.nodes.size * self.band_share
+
+    def test_explicit_entries_do_not_grow_with_level(self, monkeypatch):
+        # from n = 10 to 12 the last block's nodes double, while the entries
+        # evaluated one by one stay near the walls
+        import ifpt.forward as fw
+
+        nodes, entries = [], []
+        for level in (10, 12):
+            before, dt = self.last_blocks(level)
+            strips = []
+
+            def record(x_in, x_out, dt):
+                idx, inside = _band_strip(x_in, x_out, dt)
+                strips.append(idx.size)
+                return idx, inside
+
+            with monkeypatch.context() as mp:
+                mp.setattr(fw, "_band_strip", record)
+                after = propagated_subdensity(before, 1.0, 1.0, dt, self.side, CFG)
+            nodes.append(after.nodes.size)
+            entries.append(sum(strips))
+        assert 1.8 < nodes[1] / nodes[0] < 2.2
+        assert entries[1] < 1.25 * entries[0]
 
 
 class TestBandedCorridor(TestBandedPropagation):
@@ -359,6 +390,115 @@ class TestBandedCorridor(TestBandedPropagation):
         grid = DyadicGrid(1.0, 6)
         b = PiecewiseLinearBoundary(self.side, grid, 1.5 - 1.3 * grid.knots)
         self.assert_matches_dense(b, monkeypatch)
+
+
+def _states(side, level=8):
+    from ifpt import SolverConfig, construct_boundary
+
+    sol = construct_boundary(exponential_target(1.0), 1.0, level, side, SolverConfig())
+    return sol.boundary, list(subdensities(sol.boundary, CFG))
+
+
+SIDES = [BoundarySide.UPPER_ONLY, BoundarySide.SYMMETRIC]
+
+
+class TestLattice:
+    """Node layout of the lattice-anchored panels on solved n = 8 boundaries."""
+
+    @pytest.fixture(scope="class", params=SIDES, ids=["upper", "symmetric"])
+    def solved(self, request):
+        return _states(request.param)
+
+    def test_shared_cells_are_bit_identical(self, solved):
+        _, states = solved
+        shared = 0
+        for a, b in zip(states, states[1:]):
+            if a.cells is None or b.cells is None:
+                continue
+            lo = max(a.cells.first_cell, b.cells.first_cell)
+            hi = min(a.cells.first_cell + a.cells.count, b.cells.first_cell + b.cells.count)
+            pick = [
+                s.nodes[s.cells.first_node + 12 * (lo - s.cells.first_cell) :][: 12 * (hi - lo)]
+                for s in (a, b)
+            ]
+            assert hi > lo and np.array_equal(pick[0], pick[1])
+            shared += 1
+        assert shared > 200
+
+    def test_regular_cells_keep_two_cells_from_the_walls(self, solved):
+        b, states = solved
+        dt = b.grid.block_width
+        h = 3.0 * math.sqrt(dt)
+        mirrors = UPPER if b.side is BoundarySide.UPPER_ONLY else CORRIDOR
+        regular = 0
+        for m, s in enumerate(states, start=1):
+            g = float(b.knot_values[m])
+            reg = _regular(s.cells, g, dt, mirrors)
+            if reg is None:
+                continue
+            nodes, first = reg
+            stop = first + (nodes.stop - nodes.start) // 12
+            assert stop * h + 2.0 * h <= g * (1.0 + 1e-15)
+            if mirrors == CORRIDOR:
+                assert first * h - 2.0 * h >= -g * (1.0 + 1e-15)
+            # the run's nodes are the Gauss-Legendre nodes of those cells
+            cells = np.arange(first, stop)[:, None]
+            expect = (cells + 0.5) * h + 0.5 * h * _gl(12)[0]
+            assert np.allclose(s.nodes[nodes], expect.ravel(), rtol=0.0, atol=1e-15)
+            regular += 1
+        assert regular > 0.8 * len(states) if mirrors == UPPER else regular > 0
+
+    def test_weights_sum_to_window_width(self, solved):
+        b, states = solved
+        h = 3.0 * math.sqrt(b.grid.block_width)
+        for m, s in enumerate(states, start=1):
+            reach = math.ceil(CFG.truncation_width * math.sqrt(s.time) / h) * h
+            hi = min(float(b.knot_values[m]), reach)
+            lo = -hi if b.side is BoundarySide.SYMMETRIC else -reach
+            assert abs(float(s.weights.sum()) - (hi - lo)) <= 1e-12
+            assert lo < s.nodes[0] and s.nodes[-1] < hi
+            if s.cells is not None and hi < reach:
+                # the piece the wall cuts is between h/4 and 5h/4 wide
+                piece = hi - (s.cells.first_cell + s.cells.count) * h
+                assert h / 4.0 <= piece < 1.25 * h
+
+    @pytest.mark.parametrize("side", SIDES, ids=["upper", "symmetric"])
+    @pytest.mark.parametrize("nodes_per_block", [96, 300])
+    def test_narrow_window_keeps_equal_panels(self, side, nodes_per_block):
+        # the first knot at n = 8 has a window of 6 cells (9 standard
+        # deviations either side); a floor of 300 nodes needs 25
+        cfg = QuadratureConfig(nodes_per_block=nodes_per_block)
+        dt = 2.0**-8
+        point = SubDensity(time=0.0, nodes=np.zeros(1), weights=np.ones(1), values=np.ones(1))
+        first = propagated_subdensity(point, 1.0, 1.0, dt, side, cfg)
+        assert first.cells is None
+        assert first.nodes.size >= nodes_per_block
+        panels = np.diff(first.nodes.reshape(-1, 12)[:, 0])
+        interior = panels[1:-1] if side is BoundarySide.SYMMETRIC else panels[:-1]
+        assert np.ptp(interior[1:-1]) <= 1e-12
+        # at t = 1 the same floor leaves 43 or 16 cells for lattice panels
+        point = SubDensity(time=1.0 - dt, nodes=np.zeros(1), weights=np.ones(1), values=np.ones(1))
+        wide = propagated_subdensity(point, 1.0, 1.0, dt, side, cfg)
+        assert wide.nodes.size >= nodes_per_block
+        assert (wide.cells is None) == (side is BoundarySide.SYMMETRIC and nodes_per_block == 300)
+
+    @pytest.mark.parametrize("level", [7, 8, 12])
+    def test_toeplitz_blocks_are_the_gaussian_on_lattice_nodes(self, level):
+        # the cells next to the origin of a level-``level`` lattice, cells
+        # o = -3..3 apart; the float64 nodes sit up to half an ulp of x from
+        # their lattice positions, which bounds the agreement
+        dt = 2.0**-level
+        h = 3.0 * math.sqrt(dt)
+
+        def cell(k):
+            return (k + 0.5) * h + 0.5 * h * _gl(12)[0]
+
+        for k in (-1, 0):
+            for o in range(-3, 4):
+                x, y = cell(k), cell(k - o)
+                literal = np.exp(-np.square(x[:, None] - y[None, :]) / (2.0 * dt))
+                block = _TOEPLITZ[12 * (3 - o) : 12 * (4 - o)].T
+                assert np.max(np.abs(block - literal)) <= 4.0 * np.finfo(float).eps
 
 
 class TestConsistencyGuards:
