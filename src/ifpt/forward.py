@@ -81,7 +81,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, roots_legendre
+from scipy.special import log_ndtr, ndtr
 
 from .core import (
     BoundarySide,
@@ -115,6 +115,9 @@ __all__ = [
 #: Gauss-Legendre points per panel.
 _PANEL_ORDER = 12
 
+#: The panel rule's nodes and weights on [-1, 1].
+_XG, _WG = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+
 #: Panel width in units of sqrt(block width); 12-point panels spanning three
 #: standard deviations of the stepping kernel resolve it to machine precision.
 _PANEL_SIGMAS = 3.0
@@ -125,7 +128,7 @@ _BAND_SIGMAS = 9.0
 
 #: Lattice cells the Toeplitz product reaches on either side: nodes of cells
 #: further apart are more than ``_BAND_SIGMAS`` standard deviations apart.
-_REACH_CELLS = 3
+_REACH_CELLS = int(_BAND_SIGMAS // _PANEL_SIGMAS)
 
 #: A full cell is regular when each wall of its knot is at least this many
 #: cells away; between regular cells the wall factor is 1 within exp(-72).
@@ -162,16 +165,6 @@ class QuadratureConfig:
             raise ValueError("truncation_width must be at least 4")
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        x, w = roots_legendre(order)
-        _GL_CACHE[order] = (x, w)
-    return _GL_CACHE[order]
-
-
 def _grade_edges(edges: np.ndarray, at_start: bool, at_end: bool) -> np.ndarray:
     # split the panel touching an absorbing boundary into shrinking subpanels
     if at_start:
@@ -185,11 +178,9 @@ def _grade_edges(edges: np.ndarray, at_start: bool, at_end: bool) -> np.ndarray:
 
 def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights of the panels between ``edges``."""
-    xg, wg = _gl(_PANEL_ORDER)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
-    x = mid[:, None] + half[:, None] * xg[None, :]
-    return x.ravel(), (half[:, None] * wg[None, :]).ravel()
+    return (mid[:, None] + half[:, None] * _XG).ravel(), (half[:, None] * _WG).ravel()
 
 
 def _nodes_weights(
@@ -228,10 +219,9 @@ def _nodes_weights(
             int(math.ceil((hi - lo) / h)),
         )
         return (*_panel_nodes(_grade_edges(np.linspace(lo, hi, panels + 1), wall_lo, walled)), None)
-    xg, wg = _gl(_PANEL_ORDER)
     k = np.arange(k0, k1, dtype=float)
-    x = [((k[:, None] + 0.5) * h + (0.5 * h) * xg[None, :]).ravel()]
-    w = [np.tile((0.5 * h) * wg, k1 - k0)]
+    x = [((k[:, None] + 0.5) * h + (0.5 * h) * _XG).ravel()]
+    w = [np.tile((0.5 * h) * _WG, k1 - k0)]
     if wall_lo:
         lx, lw = _panel_nodes(_grade_edges(np.array([lo, k0 * h]), True, False))
         x.insert(0, lx)
@@ -469,9 +459,8 @@ def _toeplitz_blocks() -> np.ndarray:
     -_REACH_CELLS, stacked as rows (o, q) by columns p.  In units of the
     cell width x - y = o + (xi_p - xi_q) / 2, so the blocks do not depend on
     dt."""
-    xg, _ = _gl(_PANEL_ORDER)
     o = np.arange(_REACH_CELLS, -_REACH_CELLS - 1, -1, dtype=float)
-    z = _PANEL_SIGMAS * (o[:, None, None] + 0.5 * (xg[None, None, :] - xg[None, :, None]))
+    z = _PANEL_SIGMAS * (o[:, None, None] + 0.5 * (_XG[None, None, :] - _XG[None, :, None]))
     return np.exp(-0.5 * z**2).reshape(-1, _PANEL_ORDER)
 
 

@@ -27,6 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import roots_legendre
 
 from .core import BoundarySide, PiecewiseLinearBoundary, TargetDistribution
 from .forward import (
@@ -227,7 +228,7 @@ def _dim_nodes(b: PiecewiseLinearBoundary, k: int, cfg: QuadratureConfig):
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
-    xg, wg = np.polynomial.legendre.leggauss(12)
+    xg, wg = roots_legendre(12)
     return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
 
 

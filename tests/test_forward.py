@@ -25,8 +25,8 @@ from ifpt.core import ConvergenceError, NumericalConsistencyError
 from ifpt.forward import (
     _TOEPLITZ,
     _WIDE,
+    _XG,
     _band_strip,
-    _gl,
     _propagate,
     _regular,
     block_crossing_symmetric,
@@ -443,7 +443,7 @@ class TestLattice:
                 assert first * h - 2.0 * h >= -g * (1.0 + 1e-15)
             # the run's nodes are the Gauss-Legendre nodes of those cells
             cells = np.arange(first, stop)[:, None]
-            expect = (cells + 0.5) * h + 0.5 * h * _gl(12)[0]
+            expect = (cells + 0.5) * h + 0.5 * h * _XG
             assert np.allclose(s.nodes[nodes], expect.ravel(), rtol=0.0, atol=1e-15)
             regular += 1
         assert regular > 0.8 * len(states) if mirrors == UPPER else regular > 0
@@ -491,7 +491,7 @@ class TestLattice:
         h = 3.0 * math.sqrt(dt)
 
         def cell(k):
-            return (k + 0.5) * h + 0.5 * h * _gl(12)[0]
+            return (k + 0.5) * h + 0.5 * h * _XG
 
         for k in (-1, 0):
             for o in range(-3, 4):
