@@ -211,14 +211,12 @@ def _nodes_weights(
         k0 += 1
     if walled and hi - k1 * h < 0.25 * h:
         k1 -= 1
-    if k1 - k0 < math.ceil(cfg.nodes_per_block / _PANEL_ORDER):
+    floor = math.ceil(cfg.nodes_per_block / _PANEL_ORDER)
+    if k1 - k0 < floor:
         # too few cells to keep ``nodes_per_block`` a floor: equal panels
-        panels = max(
-            2,
-            int(math.ceil(cfg.nodes_per_block / _PANEL_ORDER)),
-            int(math.ceil((hi - lo) / h)),
-        )
-        return (*_panel_nodes(_grade_edges(np.linspace(lo, hi, panels + 1), wall_lo, walled)), None)
+        panels = max(2, floor, math.ceil((hi - lo) / h))
+        edges = _grade_edges(np.linspace(lo, hi, panels + 1), wall_lo, walled)
+        return (*_panel_nodes(edges), None)
     k = np.arange(k0, k1, dtype=float)
     x = [((k[:, None] + 0.5) * h + (0.5 * h) * _XG).ravel()]
     w = [np.tile((0.5 * h) * _WG, k1 - k0)]

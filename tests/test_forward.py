@@ -446,7 +446,7 @@ class TestLattice:
             expect = (cells + 0.5) * h + 0.5 * h * _XG
             assert np.allclose(s.nodes[nodes], expect.ravel(), rtol=0.0, atol=1e-15)
             regular += 1
-        assert regular > 0.8 * len(states) if mirrors == UPPER else regular > 0
+        assert regular > len(states) // 2
 
     def test_weights_sum_to_window_width(self, solved):
         b, states = solved
@@ -473,10 +473,11 @@ class TestLattice:
         first = propagated_subdensity(point, 1.0, 1.0, dt, side, cfg)
         assert first.cells is None
         assert first.nodes.size >= nodes_per_block
-        panels = np.diff(first.nodes.reshape(-1, 12)[:, 0])
-        interior = panels[1:-1] if side is BoundarySide.SYMMETRIC else panels[:-1]
-        assert np.ptp(interior[1:-1]) <= 1e-12
-        # at t = 1 the same floor leaves 43 or 16 cells for lattice panels
+        # every panel but the three graded at each wall has the same width
+        widths = first.weights.reshape(-1, 12).sum(axis=1)
+        equal = widths[3:-3] if side is BoundarySide.SYMMETRIC else widths[:-3]
+        assert np.ptp(equal) <= 1e-12
+        # at t = 1 the window holds 48 full cells above, 10 on the corridor
         point = SubDensity(time=1.0 - dt, nodes=np.zeros(1), weights=np.ones(1), values=np.ones(1))
         wide = propagated_subdensity(point, 1.0, 1.0, dt, side, cfg)
         assert wide.nodes.size >= nodes_per_block
