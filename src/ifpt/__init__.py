@@ -36,11 +36,8 @@ from .closed_form import (
 from .forward import (
     FptTable,
     QuadratureConfig,
-    block_crossing_probability,
     fpt_distribution_table,
-    residual_fgkey,
     subdensities,
-    survival_probability,
 )
 from .inverse import (
     InverseSolution,
@@ -82,7 +79,6 @@ __all__ = [
     "TargetDistribution",
     "ValidationError",
     "anderson_two_sided_density",
-    "block_crossing_probability",
     "block_mass",
     "brute_force_block_check",
     "constant_boundary_cdf",
@@ -96,12 +92,10 @@ __all__ = [
     "read_boundary_csv",
     "read_target_csv",
     "refine",
-    "residual_fgkey",
     "simulate_hitting_times",
     "solve_block",
     "solve_first_block",
     "subdensities",
-    "survival_probability",
     "symmetric_linear_density",
     "tabulated_target",
     "uniform_target",

@@ -25,7 +25,6 @@ __all__ = [
     "constant_boundary_cdf",
     "anderson_two_sided_density",
     "symmetric_linear_density",
-    "negative_clamp_count",
 ]
 
 log = logging.getLogger(__name__)
@@ -34,13 +33,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 #: Hard cap on series terms; tails decay like exp(-c * r**2 / t).
 SERIES_MAX_TERMS = 64
-
-_negative_clamps = 0
-
-
-def negative_clamp_count() -> int:
-    """Number of tiny negative series results clamped to zero so far."""
-    return _negative_clamps
 
 
 def _phi(z):
@@ -206,14 +198,12 @@ class AndersonParams:
 
 
 def _clamp_negative(value: float, tol: float, context: str) -> float:
-    global _negative_clamps
     if value >= 0.0:
         return value
     if value < -10.0 * tol:
         raise NumericalConsistencyError(
             f"{context}: negative value {value:g} exceeds roundoff slack"
         )
-    _negative_clamps += 1
     log.debug("%s: clamping tiny negative %g to 0", context, value)
     return 0.0
 

@@ -116,11 +116,6 @@ class DyadicGrid:
             raise ValueError(f"knot index {m} outside 0..{self.blocks}")
         return m * self.horizon / self.blocks
 
-    def refined(self, level: int) -> "DyadicGrid":
-        if level < self.level:
-            raise ValueError("refinement level must not decrease")
-        return DyadicGrid(self.horizon, level)
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(np.asarray(a, dtype=float))

@@ -75,7 +75,6 @@ propagation step from a unit point mass at the origin.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -91,8 +90,6 @@ from .core import (
     NumericalConsistencyError,
     PiecewiseLinearBoundary,
     SubDensity,
-    TargetDistribution,
-    block_mass,
 )
 
 __all__ = [
@@ -100,12 +97,9 @@ __all__ = [
     "initial_subdensity",
     "propagated_subdensity",
     "subdensities",
-    "survival_probability",
-    "block_crossing_probability",
     "crossing_mass",
     "fpt_distribution_table",
     "FptTable",
-    "residual_fgkey",
     "block_crossing_upper",
     "block_crossing_symmetric",
     "bridge_crossing_upper",
@@ -141,6 +135,10 @@ _WIDE = 45.0
 #: Largest |k| the corridor image series (:func:`_image_series`) may reach.
 _IMAGE_MAX = 256
 
+#: Half-width of the spatial window in standard deviations of the diffusion
+#: bulk: the window holds all but about Phi(-8) of the absorbed mass.
+_TRUNCATION_SIGMAS = 8.0
+
 #: Slack allowed on the survival-monotonicity consistency check.
 _SURVIVAL_SLACK = 1e-9
 
@@ -151,18 +149,14 @@ class QuadratureConfig:
 
     ``nodes_per_block`` is a floor; the node count grows automatically with
     the width of the alive region so that panels keep resolving the stepping
-    kernel.  ``truncation_width`` is the number of standard deviations kept
-    around the diffusion bulk.
+    kernel.
     """
 
     nodes_per_block: int = 96
-    truncation_width: float = 8.0
 
     def __post_init__(self) -> None:
         if self.nodes_per_block < 8:
             raise ValueError("nodes_per_block must be at least 8")
-        if self.truncation_width < 4.0:
-            raise ValueError("truncation_width must be at least 4")
 
 
 def _grade_edges(edges: np.ndarray, at_start: bool, at_end: bool) -> np.ndarray:
@@ -190,13 +184,13 @@ def _nodes_weights(
     and the run of full lattice cells among its panels (module docstring);
     None if the window is empty.
 
-    The window carries all but ~Phi(-width) of the absorbed mass: it reaches
-    ``truncation_width`` standard deviations of the diffusion bulk, rounded
+    The window carries all but ~Phi(-8) of the absorbed mass: it reaches
+    ``_TRUNCATION_SIGMAS`` standard deviations of the diffusion bulk, rounded
     out to lattice lines, and is cut by the upper wall and, on the corridor,
     by its mirror.
     """
     h = _PANEL_SIGMAS * math.sqrt(dt)
-    reach = math.ceil(cfg.truncation_width * math.sqrt(t) / h)
+    reach = math.ceil(_TRUNCATION_SIGMAS * math.sqrt(t) / h)
     walled = g <= reach * h
     hi = g if walled else reach * h
     corridor = -1.0 in mirrors
@@ -620,17 +614,6 @@ def subdensities(b: PiecewiseLinearBoundary, cfg: QuadratureConfig) -> Iterator[
         yield state
 
 
-def _state_at(b: PiecewiseLinearBoundary, m: int, cfg: QuadratureConfig) -> SubDensity:
-    return next(itertools.islice(subdensities(b, cfg), m - 1, None))
-
-
-def survival_probability(b: PiecewiseLinearBoundary, m: int, cfg: QuadratureConfig) -> float:
-    """P(no crossing through knot m), by m-1 propagations from the first knot."""
-    if not 1 <= m <= b.grid.blocks:
-        raise ValueError(f"knot index {m} outside 1..{b.grid.blocks}")
-    return _state_at(b, m, cfg).survival
-
-
 def crossing_mass(
     state: SubDensity, g0: float, g1: float, dt: float, side: BoundarySide
 ) -> float:
@@ -647,30 +630,6 @@ def crossing_mass(
     if value < -_SURVIVAL_SLACK:
         raise NumericalConsistencyError(f"negative block crossing probability {value:g}")
     return min(max(value, 0.0), state.survival)
-
-
-def block_crossing_probability(
-    b: PiecewiseLinearBoundary,
-    a: float,
-    m: int,
-    cfg: QuadratureConfig,
-    state: SubDensity | None = None,
-) -> float:
-    """Probability that the first crossing happens in block m when the
-    boundary continues from its value at knot m with slope ``a``.
-
-    ``state`` may supply the absorbed density at knot m (it is recomputed
-    from scratch otherwise); the candidate segment never mutates ``b``.
-    """
-    if not 1 <= m <= b.grid.blocks - 1:
-        raise ValueError(f"block index {m} outside 1..{b.grid.blocks - 1}")
-    dt = b.grid.block_width
-    if state is None:
-        state = _state_at(b, m, cfg)
-    elif not math.isclose(state.time, m * dt, rel_tol=0.0, abs_tol=1e-12 * b.grid.horizon):
-        raise ValueError("state does not sit at the requested knot")
-    g0 = float(b.knot_values[m])
-    return crossing_mass(state, g0, g0 + a * dt, dt, b.side)
 
 
 @dataclass(frozen=True)
@@ -715,20 +674,3 @@ class FptTable:
 def fpt_distribution_table(b: PiecewiseLinearBoundary, cfg: QuadratureConfig) -> FptTable:
     """Tabulate cdf, block masses and block-average densities at all knots."""
     return FptTable.from_survivals(b.grid, [state.survival for state in subdensities(b, cfg)])
-
-
-def residual_fgkey(
-    b: PiecewiseLinearBoundary, d: TargetDistribution, m: int, cfg: QuadratureConfig
-) -> float:
-    """Block-averaged defect between the boundary's realized crossing density
-    and the target density on block m (near zero for a solved boundary)."""
-    if not 0 <= m <= b.grid.blocks - 1:
-        raise ValueError(f"block index {m} outside 0..{b.grid.blocks - 1}")
-    dt = b.grid.block_width
-    if m == 0:
-        realized = 1.0 - next(subdensities(b, cfg)).survival
-    else:
-        state = _state_at(b, m, cfg)
-        realized = block_crossing_probability(b, float(b.slopes[m]), m, cfg, state=state)
-    target = block_mass(d, m * dt, (m + 1) * dt)
-    return (realized - target) / dt

@@ -7,7 +7,7 @@ Each block's objective is continuous and strictly decreasing in the slope,
 so it has a unique root, found by safeguarded regula falsi (Illinois
 variant) inside a bracket.  Block m >= 2 starts its bracket at block m-1's
 slope, so a smooth boundary needs about five crossing-mass evaluations per
-block; block 1 starts cold from ±``bracket_halfwidth``.
+block; block 1 starts cold from ±``_BRACKET_HALFWIDTH``.
 
 The solve propagates the absorbed state across every block once, and the
 survivals of those states are the solved boundary's hitting-time table
@@ -71,35 +71,38 @@ _STEP_FLOOR = 0.01
 #: Relative bracket width at which the root is considered pinned.
 _WIDTH_TOL = 1e-13
 
+#: Cold-start bracket: the first block's level search starts here, and block
+#: 1's slope bracket is ±_BRACKET_HALFWIDTH.  Later blocks start from the
+#: previous slope.
+_BRACKET_HALFWIDTH = 4.0
+
+#: Factor by which every bracket grows until it holds the root.
+_BRACKET_GROWTH = 2.0
+
+#: Objective evaluations per block, bracketing included, after which the
+#: root search gives up.
+_MAX_ITERATIONS = 200
+
+#: A solve whose largest slope magnitude exceeds this logs a warning.
+_SLOPE_WARN = 1e3
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and bracketing policy for the block solves.
+    """Tolerance and quadrature of the block solves.
 
     ``probability_tol`` is a tolerance on matched probability mass, not on
     the slope; slope accuracy follows from the local derivative and is
-    reported through the solve records.
-
-    ``bracket_halfwidth`` only seeds the cold starts: the first block's
-    level search starts there, and block 1's slope bracket is
-    ±``bracket_halfwidth``.  Later blocks start from the previous slope.
-    Every bracket grows by ``bracket_growth`` until it holds the root.
+    reported through the solve records.  The bracketing policy is fixed
+    (``_BRACKET_HALFWIDTH``, ``_BRACKET_GROWTH``, ``_MAX_ITERATIONS``).
     """
 
     probability_tol: float = 1e-10
-    bracket_halfwidth: float = 4.0
-    bracket_growth: float = 2.0
-    max_iterations: int = 200
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
-    slope_warn_threshold: float = 1e3
 
     def __post_init__(self) -> None:
         if not self.probability_tol > 0.0:
             raise ValueError("probability_tol must be positive")
-        if not self.bracket_growth > 1.0:
-            raise ValueError("bracket_growth must exceed 1")
-        if self.bracket_halfwidth <= 0.0 or self.max_iterations < 8:
-            raise ValueError("bad bracketing parameters")
 
 
 def _residual_tol(cfg: SolverConfig, target: float) -> float:
@@ -130,7 +133,7 @@ def _refine_root(
     r_lo, r_hi = f_lo - target, f_hi - target
     kept = 0  # +1 when lo survived the last step, -1 when hi did
     f_c = math.nan
-    while iters < cfg.max_iterations:
+    while iters < _MAX_ITERATIONS:
         width = hi - lo
         cand = 0.5 * (lo + hi)
         if r_lo > r_hi:
@@ -157,7 +160,7 @@ def _refine_root(
                 r_lo *= 0.5
             kept = 1
     raise ConvergenceError(
-        f"root not located within {cfg.max_iterations} iterations "
+        f"root not located within {_MAX_ITERATIONS} iterations "
         f"(last residual {f_c - target:.3g})"
     )
 
@@ -181,19 +184,19 @@ def solve_first_block(
     def fun(z: float) -> float:
         return float(constant_boundary_cdf(z, t1, side))
 
-    lo = hi = cfg.bracket_halfwidth
+    lo = hi = _BRACKET_HALFWIDTH
     f_lo = f_hi = fun(hi)
     iters = 1
     while f_hi > target:
         lo, f_lo = hi, f_hi
-        hi *= cfg.bracket_growth
+        hi *= _BRACKET_GROWTH
         if hi > _BRACKET_LIMIT:
             raise ConvergenceError("level bracket expansion diverged")
         f_hi = fun(hi)
         iters += 1
     while f_lo < target:
         hi, f_hi = lo, f_lo
-        lo /= cfg.bracket_growth
+        lo /= _BRACKET_GROWTH
         if lo < 1e-300:
             raise ConvergenceError("level bracket expansion diverged toward zero")
         f_lo = fun(lo)
@@ -219,27 +222,27 @@ def solve_block(
     side: BoundarySide,
     cfg: SolverConfig,
     boundary_value: float,
-    dt: float | None = None,
+    *,
+    dt: float,
     guess: float | None = None,
     step: float = _STEP_FLOOR,
 ) -> tuple[float, BlockSolveRecord]:
     """Solve the slope of block m given the absorbed state at its left knot.
 
     ``boundary_value`` is the inherited boundary value at the knot; the
-    candidate segment runs from it with the trial slope.  The block's target
+    candidate segment runs from it with the trial slope over the block
+    width ``dt``.  The block's target
     mass must be strictly positive and strictly below the current survival.
 
-    Without a ``guess`` the slope bracket starts at ±``bracket_halfwidth``.
+    Without a ``guess`` the slope bracket starts at ±``_BRACKET_HALFWIDTH``.
     With one (the previous block's slope, say) it starts at ``guess`` and
     ``guess ± step`` on the side where the root lies; either way it grows
-    outward by ``bracket_growth`` until it holds the root.
+    outward by ``_BRACKET_GROWTH`` until it holds the root.
     """
     if m < 1:
         raise ValueError("solve_block handles blocks m >= 1")
     if guess is not None and not (math.isfinite(guess) and 0.0 < step < math.inf):
         raise ValueError("a warm start needs a finite guess and a finite positive step")
-    if dt is None:
-        dt = p.time / m
     target = block_mass(d, p.time, p.time + dt)
     survival = p.survival
     if target <= 0.0:
@@ -255,7 +258,7 @@ def solve_block(
         return crossing_mass(p, boundary_value, boundary_value + a * dt, dt, side)
 
     if guess is None:
-        center, lo, hi = 0.0, -cfg.bracket_halfwidth, cfg.bracket_halfwidth
+        center, lo, hi = 0.0, -_BRACKET_HALFWIDTH, _BRACKET_HALFWIDTH
         f_lo, f_hi = fun(lo), fun(hi)
     else:
         center, f_c = guess, fun(guess)
@@ -268,14 +271,14 @@ def solve_block(
     iters = 2
     while f_hi > target:
         lo, f_lo = hi, f_hi
-        hi = center + (hi - center) * cfg.bracket_growth
+        hi = center + (hi - center) * _BRACKET_GROWTH
         if hi > _BRACKET_LIMIT:
             raise ConvergenceError(f"slope bracket for block {m} diverged upward")
         f_hi = fun(hi)
         iters += 1
     while f_lo < target:
         hi, f_hi = lo, f_lo
-        lo = center + (lo - center) * cfg.bracket_growth
+        lo = center + (lo - center) * _BRACKET_GROWTH
         if lo < -_BRACKET_LIMIT:
             raise ConvergenceError(f"slope bracket for block {m} diverged downward")
         f_lo = fun(lo)
@@ -344,14 +347,15 @@ def construct_boundary(
     """Build the piecewise-linear boundary whose block crossing probabilities
     match the target block masses on the dyadic grid.
 
-    The target is validated first.  Any failing block aborts the run with
-    the records solved so far attached to the raised error.
+    The grid is checked first, then the target, so a bad level fails before
+    any target sampling.  Any failing block aborts the run with the records
+    solved so far attached to the raised error.
     """
     cfg = cfg or SolverConfig()
+    grid = DyadicGrid(horizon, level)
     report = validate_target(d, horizon)
     if not report.ok:
         raise ValidationError(str(report))
-    grid = DyadicGrid(horizon, level)
     dt = grid.block_width
     knots = np.empty(grid.blocks + 1)
     records: list[BlockSolveRecord] = []
@@ -386,12 +390,12 @@ def construct_boundary(
 
     boundary = PiecewiseLinearBoundary(side, grid, knots)
     max_abs = max(abs(r.alpha) for r in records)
-    if max_abs > cfg.slope_warn_threshold:
+    if max_abs > _SLOPE_WARN:
         log.warning(
             "solved slopes reach %.3g (threshold %.3g); target may sit near "
             "the feasibility boundary",
             max_abs,
-            cfg.slope_warn_threshold,
+            _SLOPE_WARN,
         )
     return InverseSolution(
         boundary=boundary,

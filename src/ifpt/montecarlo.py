@@ -215,11 +215,11 @@ def ks_block_distance(e: EmpiricalHittingDistribution, d: TargetDistribution) ->
 
 def _dim_nodes(b: PiecewiseLinearBoundary, k: int, cfg: QuadratureConfig):
     # equal 12-point Gauss-Legendre panels, at most 3*sqrt(dt) wide, over
-    # truncation_width*sqrt(t) around 0 cut by the walls at knot k; built
+    # 8*sqrt(t) around 0 cut by the walls at knot k; built
     # here so the tensor route shares no quadrature machinery with the
     # sequential propagation it cross-checks
     dt = b.grid.block_width
-    reach = cfg.truncation_width * math.sqrt(b.grid.knot(k))
+    reach = 8.0 * math.sqrt(b.grid.knot(k))
     hi = min(float(b.knot_values[k]), reach)
     lo = -hi if b.side is BoundarySide.SYMMETRIC else -reach
     if not hi > lo:

@@ -19,7 +19,6 @@ from ifpt import (
     SimConfig,
     SolverConfig,
     anderson_two_sided_density,
-    block_crossing_probability,
     brute_force_block_check,
     constant_boundary_cdf,
     construct_boundary,
@@ -108,14 +107,14 @@ def test_03_symmetric_series_cross_check():
     )
 
 
-def test_04_brute_force_equivalence():
+def test_04_brute_force_equivalence(block_crossing):
     start = time.perf_counter()
     grid = DyadicGrid(1.0, 2)
     b = PiecewiseLinearBoundary(UP, grid, 1.0 + 0.25 * grid.knots)
     worst = 0.0
     for m in (1, 2, 3):
         brute = brute_force_block_check(b, m, QCFG)
-        fwd = block_crossing_probability(b, float(b.slopes[m]), m, QCFG)
+        fwd = block_crossing(b, m, QCFG)
         worst = max(worst, abs(brute - fwd))
     _report(
         "criterion 4 tensor-quadrature equivalence",

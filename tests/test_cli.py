@@ -93,6 +93,16 @@ class TestInverseCommand:
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
         assert all(abs(blk["residual"]) <= 1e-10 for blk in diag["blocks"])
 
+    def test_level_above_cap_exits_2_before_sampling(self, tmp_path, monkeypatch, capsys):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the target was sampled before the level check")
+
+        monkeypatch.setattr(inv, "validate_target", no_sampling)
+        assert run("inverse", "--target", "exp:1", "--T", 1, "--n", 15,
+                   "--out", tmp_path / "out") == 2
+        assert "level must be in [1, 14]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestForwardCommand:
     def test_round_trip_reproduces_block_masses(self, tmp_path):
@@ -111,6 +121,15 @@ class TestForwardCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("t,upper,lower\n0,not_a_number,-inf\n")
         assert run("forward", "--boundary", bad, "--out", tmp_path) == 2
+
+    def test_level_above_cap_exits_2(self, tmp_path, capsys):
+        blocks = 2**15
+        fine = tmp_path / "fine.csv"
+        fine.write_text("t,upper,lower\n" + "".join(
+            f"{m / blocks!r},1,-inf\n" for m in range(blocks + 1)))
+        assert run("forward", "--boundary", fine, "--out", tmp_path / "out") == 2
+        assert "level must be in [1, 14]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_pinched_corridor_exits_3(self, tmp_path, capsys):
         # the image series for a corridor closing from 1 to 1e-7 exceeds its budget

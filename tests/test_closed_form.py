@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -239,12 +240,15 @@ class TestSymmetricLinearDensity:
 
 
 class TestNegativeClampPolicy:
-    def test_roundoff_negatives_are_clamped_and_counted(self):
-        from ifpt.closed_form import _clamp_negative, negative_clamp_count
+    def test_roundoff_negatives_are_clamped_and_counted(self, caplog):
+        from ifpt.closed_form import _clamp_negative
         from ifpt import NumericalConsistencyError
 
-        before = negative_clamp_count()
-        assert _clamp_negative(-5e-12, 1e-12, "test") == 0.0
-        assert negative_clamp_count() == before + 1
+        with caplog.at_level(logging.DEBUG, logger="ifpt.closed_form"):
+            assert _clamp_negative(-5e-12, 1e-12, "test") == 0.0
+        clamps = [r for r in caplog.records if r.name == "ifpt.closed_form"]
+        assert len(clamps) == 1
+        assert clamps[0].levelno == logging.DEBUG
+        assert clamps[0].getMessage() == "test: clamping tiny negative -5e-12 to 0"
         with pytest.raises(NumericalConsistencyError):
             _clamp_negative(-1e-3, 1e-12, "test")

@@ -44,13 +44,9 @@ class TestDyadicGrid:
     )
     def test_nesting_is_bit_exact(self, level, extra, horizon):
         coarse = DyadicGrid(horizon, level)
-        fine = coarse.refined(level + extra)
+        fine = DyadicGrid(horizon, level + extra)
         stride = 2**extra
         assert np.array_equal(coarse.knots, fine.knots[::stride])
-
-    def test_refinement_cannot_coarsen(self):
-        with pytest.raises(ValueError):
-            DyadicGrid(1.0, 4).refined(3)
 
 
 class TestBoundary:

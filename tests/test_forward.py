@@ -12,18 +12,17 @@ from ifpt import (
     PiecewiseLinearBoundary,
     QuadratureConfig,
     SubDensity,
-    block_crossing_probability,
+    block_mass,
     constant_boundary_cdf,
     exponential_target,
     fpt_distribution_table,
     linear_fpt_density,
-    residual_fgkey,
     subdensities,
-    survival_probability,
 )
 from ifpt.core import ConvergenceError, NumericalConsistencyError
 from ifpt.forward import (
     _TOEPLITZ,
+    _TRUNCATION_SIGMAS,
     _WIDE,
     _XG,
     _band_strip,
@@ -31,6 +30,8 @@ from ifpt.forward import (
     _regular,
     block_crossing_symmetric,
     bridge_crossing_symmetric,
+    crossing_mass,
+    initial_subdensity,
     propagated_subdensity,
 )
 
@@ -48,7 +49,7 @@ class TestQuadratureConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(nodes_per_block=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             QuadratureConfig(truncation_width=2.0)
         with pytest.raises(TypeError):
             QuadratureConfig(panel_rule="simpson")
@@ -131,49 +132,43 @@ class TestPropagation:
 class TestSurvivalProbability:
     def test_constant_boundary_levels(self):
         b = const_boundary(BoundarySide.UPPER_ONLY, 3)
-        assert survival_probability(b, 8, CFG) == pytest.approx(2.0 * ndtr(1.0) - 1.0, abs=1e-10)
+        *_, last = subdensities(b, CFG)
+        assert last.survival == pytest.approx(2.0 * ndtr(1.0) - 1.0, abs=1e-10)
 
     def test_first_knot_equals_init_mass(self):
         b = const_boundary(BoundarySide.SYMMETRIC, 3)
-        assert survival_probability(b, 1, CFG) == next(subdensities(b, CFG)).survival
+        first = initial_subdensity(1.0, 1.0, b.grid.knot(1), b.side, CFG)
+        assert next(subdensities(b, CFG)).survival == first.survival
 
     def test_linear_boundary_against_quadrature(self):
         grid = DyadicGrid(1.0, 4)
         b = PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, grid, 1.0 + 0.5 * grid.knots)
         seg = LinearSegment(0.5, 1.0)
         expect = 1.0 - quad(lambda s: linear_fpt_density(seg, s), 1e-12, 1.0)[0]
-        assert survival_probability(b, 16, CFG) == pytest.approx(expect, abs=1e-10)
-
-    def test_index_bounds(self):
-        b = const_boundary(BoundarySide.UPPER_ONLY, 2)
-        with pytest.raises(ValueError):
-            survival_probability(b, 0, CFG)
-        with pytest.raises(ValueError):
-            survival_probability(b, 5, CFG)
+        *_, last = subdensities(b, CFG)
+        assert last.survival == pytest.approx(expect, abs=1e-10)
 
 
 class TestBlockCrossing:
+    # block 1 of a constant boundary at 1 continued with slope ``a``
+    @staticmethod
+    def _block_one(level, a):
+        b = const_boundary(BoundarySide.UPPER_ONLY, level)
+        state, dt = next(subdensities(b, CFG)), b.grid.block_width
+        return state, crossing_mass(state, 1.0, 1.0 + a * dt, dt, b.side)
+
     def test_escaping_boundary_kills_crossing(self):
-        b = const_boundary(BoundarySide.UPPER_ONLY, 2)
-        assert block_crossing_probability(b, 1e6, 1, CFG) == pytest.approx(0.0, abs=1e-15)
+        _, got = self._block_one(2, 1e6)
+        assert got == pytest.approx(0.0, abs=1e-15)
 
     def test_plunging_boundary_absorbs_everything(self):
-        b = const_boundary(BoundarySide.UPPER_ONLY, 2)
-        state = next(subdensities(b, CFG))
-        got = block_crossing_probability(b, -1e6, 1, CFG, state=state)
+        state, got = self._block_one(2, -1e6)
         assert got == pytest.approx(state.survival, rel=1e-12)
 
     def test_constant_boundary_block_value(self):
-        b = const_boundary(BoundarySide.UPPER_ONLY, 1)
-        got = block_crossing_probability(b, 0.0, 1, CFG)
+        _, got = self._block_one(1, 0.0)
         expect = (2.0 * ndtr(1.0 / math.sqrt(0.5)) - 1.0) - (2.0 * ndtr(1.0) - 1.0)
         assert got == pytest.approx(expect, abs=1e-10)
-
-    def test_mismatched_state_rejected(self):
-        b = const_boundary(BoundarySide.UPPER_ONLY, 2)
-        state = next(subdensities(b, CFG))
-        with pytest.raises(ValueError):
-            block_crossing_probability(b, 0.0, 2, CFG, state=state)
 
 
 class TestFptTable:
@@ -222,18 +217,29 @@ class TestFptTable:
             assert float(table.block_masses[m + 1]) == pytest.approx(ref, abs=1e-6)
 
 
+def _residual(block_crossing, b, d, m):
+    """Block-averaged defect between the realized crossing mass of block m
+    and its target mass (near zero for a solved boundary)."""
+    dt = b.grid.block_width
+    if m == 0:
+        realized = 1.0 - next(subdensities(b, CFG)).survival
+    else:
+        realized = block_crossing(b, m, CFG)
+    return (realized - block_mass(d, m * dt, (m + 1) * dt)) / dt
+
+
 class TestResidualDiagnostic:
-    def test_solved_boundary_residual_small(self):
+    def test_solved_boundary_residual_small(self, block_crossing):
         from ifpt import SolverConfig, construct_boundary
 
         d = exponential_target(1.0)
         sol = construct_boundary(d, 1.0, 3, BoundarySide.UPPER_ONLY, SolverConfig())
         dt = sol.boundary.grid.block_width
         for m in (0, 3, 7):
-            r = residual_fgkey(sol.boundary, d, m, CFG)
+            r = _residual(block_crossing, sol.boundary, d, m)
             assert abs(r) <= 1e-10 / dt + 1e-9
 
-    def test_perturbed_slope_changes_sign_opposite(self):
+    def test_perturbed_slope_changes_sign_opposite(self, block_crossing):
         from ifpt import SolverConfig, construct_boundary
 
         d = exponential_target(1.0)
@@ -243,14 +249,14 @@ class TestResidualDiagnostic:
         dt = sol.boundary.grid.block_width
         knots[m + 1 :] += 0.1 * dt  # steepen block m by +0.1
         perturbed = PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, sol.boundary.grid, knots)
-        assert residual_fgkey(perturbed, d, m, CFG) < 0.0
+        assert _residual(block_crossing, perturbed, d, m) < 0.0
 
-    def test_far_boundary_residual_is_minus_target_average(self):
+    def test_far_boundary_residual_is_minus_target_average(self, block_crossing):
         d = exponential_target(1.0)
         b = const_boundary(BoundarySide.UPPER_ONLY, 2, value=1e6)
         dt = b.grid.block_width
         target_avg = float(d.cdf_at(2 * dt) - d.cdf_at(dt)) / dt
-        assert residual_fgkey(b, d, 1, CFG) == pytest.approx(-target_avg, abs=1e-12)
+        assert _residual(block_crossing, b, d, 1) == pytest.approx(-target_avg, abs=1e-12)
 
 
 def _dense_upper(x_in, mass_in, x_out, g0, g1, dt):
@@ -452,7 +458,7 @@ class TestLattice:
         b, states = solved
         h = 3.0 * math.sqrt(b.grid.block_width)
         for m, s in enumerate(states, start=1):
-            reach = math.ceil(CFG.truncation_width * math.sqrt(s.time) / h) * h
+            reach = math.ceil(_TRUNCATION_SIGMAS * math.sqrt(s.time) / h) * h
             hi = min(float(b.knot_values[m]), reach)
             lo = -hi if b.side is BoundarySide.SYMMETRIC else -reach
             assert abs(float(s.weights.sum()) - (hi - lo)) <= 1e-12

@@ -141,7 +141,7 @@ class TestSolveBlock:
         slope, rec = solve_block(state, d, 1, side, CFG, boundary_value=1.0, dt=dt, guess=guess)
         assert abs(rec.residual) <= inv._residual_tol(CFG, rec.target_mass)
         assert rec.bracket_lo <= slope <= rec.bracket_hi
-        assert rec.iterations <= CFG.max_iterations
+        assert rec.iterations <= inv._MAX_ITERATIONS
 
     def test_warm_start_needs_positive_step(self):
         state, dt = self._constant_state()
@@ -182,7 +182,7 @@ class TestConstructBoundary:
         d = exponential_target(1e6)
         with caplog.at_level(logging.WARNING, logger="ifpt.inverse"):
             sol = construct_boundary(d, 1e-6, 4, side, CFG)
-        assert sol.max_abs_slope > CFG.slope_warn_threshold
+        assert sol.max_abs_slope > inv._SLOPE_WARN
         assert any("solved slopes reach" in r.getMessage() for r in caplog.records)
         assert all(abs(r.residual) <= CFG.probability_tol for r in sol.records)
 

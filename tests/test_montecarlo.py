@@ -14,7 +14,6 @@ from ifpt import (
     QuadratureConfig,
     SimConfig,
     TargetDistribution,
-    block_crossing_probability,
     brute_force_block_check,
     constant_boundary_cdf,
     SolverConfig,
@@ -145,19 +144,19 @@ class TestBruteForce:
         assert got == pytest.approx(expect, abs=1e-6)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_agrees_with_sequential_route(self, m):
+    def test_agrees_with_sequential_route(self, m, block_crossing):
         grid = DyadicGrid(1.0, 2)
         b = PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, grid, 1.0 + 0.25 * grid.knots)
         brute = brute_force_block_check(b, m, QCFG)
-        fwd = block_crossing_probability(b, float(b.slopes[m]), m, QCFG)
+        fwd = block_crossing(b, m, QCFG)
         assert brute == pytest.approx(fwd, abs=1e-6)
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_symmetric_variant(self, m):
+    def test_symmetric_variant(self, m, block_crossing):
         grid = DyadicGrid(1.0, 2)
         b = PiecewiseLinearBoundary(BoundarySide.SYMMETRIC, grid, 1.0 + 0.25 * grid.knots)
         brute = brute_force_block_check(b, m, QCFG)
-        fwd = block_crossing_probability(b, float(b.slopes[m]), m, QCFG)
+        fwd = block_crossing(b, m, QCFG)
         assert brute == pytest.approx(fwd, abs=1e-6)
 
     def test_dimension_cap(self):
@@ -167,11 +166,11 @@ class TestBruteForce:
 
 
 class TestOracleTriangle:
-    def test_quadrature_mc_and_tensor_agree(self):
+    def test_quadrature_mc_and_tensor_agree(self, block_crossing):
         grid = DyadicGrid(1.0, 2)
         b = PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, grid, 1.0 + 0.25 * grid.knots)
         m = 2
-        fwd = block_crossing_probability(b, float(b.slopes[m]), m, QCFG)
+        fwd = block_crossing(b, m, QCFG)
         brute = brute_force_block_check(b, m, QCFG)
         emp = simulate_hitting_times(b, SimConfig(paths=200_000, seed=21))
         freq = float(emp.frequencies[m])
