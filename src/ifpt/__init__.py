@@ -35,14 +35,12 @@ from .closed_form import (
 )
 from .forward import (
     FptTable,
-    QuadratureConfig,
     fpt_distribution_table,
     subdensities,
 )
 from .inverse import (
     InverseSolution,
     RefinementReport,
-    SolverConfig,
     construct_boundary,
     refine,
     solve_block,
@@ -71,10 +69,8 @@ __all__ = [
     "LinearSegment",
     "NumericalConsistencyError",
     "PiecewiseLinearBoundary",
-    "QuadratureConfig",
     "RefinementReport",
     "SimConfig",
-    "SolverConfig",
     "SubDensity",
     "TargetDistribution",
     "ValidationError",

@@ -33,8 +33,8 @@ from .core import (
     validate_target,
     write_boundary_csv,
 )
-from .forward import QuadratureConfig, fpt_distribution_table
-from .inverse import SolverConfig, construct_boundary, refine
+from .forward import fpt_distribution_table
+from .inverse import PROBABILITY_TOL, construct_boundary, refine
 from .montecarlo import SimConfig, ks_block_distance, simulate_hitting_times
 
 __all__ = ["main", "parse_target_spec"]
@@ -82,8 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        sp.add_argument("--tol", type=float, default=1e-10, help="probability tolerance")
-        sp.add_argument("--nodes", type=int, default=96, help="minimum quadrature nodes per block")
 
     sp = sub.add_parser("forward", help="hitting distribution of a boundary file")
     sp.add_argument("--boundary", type=Path, required=True)
@@ -122,16 +120,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        probability_tol=args.tol,
-        quadrature=QuadratureConfig(nodes_per_block=args.nodes),
-    )
-
-
 def run_forward(args) -> int:
     b = read_boundary_csv(args.boundary)
-    table = fpt_distribution_table(b, QuadratureConfig(nodes_per_block=args.nodes))
+    table = fpt_distribution_table(b)
     args.out.mkdir(parents=True, exist_ok=True)
     out = args.out / "fpt_table.csv"
     table.write_csv(out)
@@ -142,7 +133,7 @@ def run_forward(args) -> int:
 
 def run_inverse(args) -> int:
     d = parse_target_spec(args.target)
-    sol = construct_boundary(d, args.horizon, args.level, args.side, _solver_config(args))
+    sol = construct_boundary(d, args.horizon, args.level, args.side)
     args.out.mkdir(parents=True, exist_ok=True)
     bpath = args.out / "boundary.csv"
     dpath = args.out / "diagnostics.json"
@@ -155,7 +146,7 @@ def run_inverse(args) -> int:
         f"g(0)={sol.boundary.knot_values[0]:.9g}  max |slope|={sol.max_abs_slope:.6g}  "
         f"max |residual|={worst:.3e}"
     )
-    return EXIT_OK if worst <= args.tol else EXIT_NUMERICAL
+    return EXIT_OK if worst <= PROBABILITY_TOL else EXIT_NUMERICAL
 
 
 def run_simulate(args) -> int:
@@ -176,7 +167,7 @@ def run_verify(args) -> int:
     if not report.ok:
         print(report, file=sys.stderr)
         return EXIT_VALIDATION
-    table = fpt_distribution_table(b, QuadratureConfig(nodes_per_block=args.nodes))
+    table = fpt_distribution_table(b)
     knots = b.grid.knots
     targets = np.array(
         [block_mass(d, knots[m], knots[m + 1]) for m in range(b.grid.blocks)]
@@ -197,7 +188,7 @@ def run_verify(args) -> int:
 
 def run_convergence(args) -> int:
     d = parse_target_spec(args.target)
-    report = refine(d, args.horizon, args.n_min, args.n_max, args.side, _solver_config(args))
+    report = refine(d, args.horizon, args.n_min, args.n_max, args.side)
     args.out.mkdir(parents=True, exist_ok=True)
     for lv in report.levels:
         write_boundary_csv(lv.solution.boundary, args.out / f"boundary_n{lv.level}.csv")

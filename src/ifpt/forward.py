@@ -62,10 +62,10 @@ cover the 9-sigma band, it is the 12 x 12 block
 K_o[p, q] = exp(-(3*o + 1.5*(xi_p - xi_q))**2 / 2), the same for every dt
 (Greengard & Strain's fast Gauss transform uses this translation
 invariance).  Every other entry, from or to an irregular cell, is evaluated
-on the band as above.  A window holding fewer than nodes_per_block/12 full
-cells keeps equal panels and has no regular cells, so ``nodes_per_block``
-stays a floor; such blocks, the first knot's point mass and narrow corridors
-take the band alone.
+on the band as above.  A window holding fewer than ``_MIN_NODES``/12 full
+cells keeps equal panels and has no regular cells, so ``_MIN_NODES`` stays a
+floor on the node count; such blocks, the first knot's point mass and narrow
+corridors take the band alone.
 
 Per-block crossing probabilities from a fixed state have closed forms, so
 slope candidates during root finding cost O(nodes) while the full
@@ -93,7 +93,6 @@ from .core import (
 )
 
 __all__ = [
-    "QuadratureConfig",
     "initial_subdensity",
     "propagated_subdensity",
     "subdensities",
@@ -139,24 +138,12 @@ _IMAGE_MAX = 256
 #: bulk: the window holds all but about Phi(-8) of the absorbed mass.
 _TRUNCATION_SIGMAS = 8.0
 
+#: Node floor of a window: one with fewer than _MIN_NODES/12 full lattice
+#: cells is laid out in equal panels holding at least _MIN_NODES nodes.
+_MIN_NODES = 96
+
 #: Slack allowed on the survival-monotonicity consistency check.
 _SURVIVAL_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Spatial quadrature controls.
-
-    ``nodes_per_block`` is a floor; the node count grows automatically with
-    the width of the alive region so that panels keep resolving the stepping
-    kernel.
-    """
-
-    nodes_per_block: int = 96
-
-    def __post_init__(self) -> None:
-        if self.nodes_per_block < 8:
-            raise ValueError("nodes_per_block must be at least 8")
 
 
 def _grade_edges(edges: np.ndarray, at_start: bool, at_end: bool) -> np.ndarray:
@@ -178,7 +165,7 @@ def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nodes_weights(
-    mirrors: tuple[float, ...], g: float, t: float, dt: float, cfg: QuadratureConfig
+    mirrors: tuple[float, ...], g: float, t: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray, LatticeCells | None] | None:
     """Quadrature of the spatial window at time ``t`` with wall value ``g``,
     and the run of full lattice cells among its panels (module docstring);
@@ -205,9 +192,9 @@ def _nodes_weights(
         k0 += 1
     if walled and hi - k1 * h < 0.25 * h:
         k1 -= 1
-    floor = math.ceil(cfg.nodes_per_block / _PANEL_ORDER)
+    floor = math.ceil(_MIN_NODES / _PANEL_ORDER)
     if k1 - k0 < floor:
-        # too few cells to keep ``nodes_per_block`` a floor: equal panels
+        # too few cells to keep ``_MIN_NODES`` a floor: equal panels
         panels = max(2, floor, math.ceil((hi - lo) / h))
         edges = _grade_edges(np.linspace(lo, hi, panels + 1), wall_lo, walled)
         return (*_panel_nodes(edges), None)
@@ -556,12 +543,11 @@ def _step(
     g1: float,
     dt: float,
     side: BoundarySide,
-    cfg: QuadratureConfig,
 ) -> SubDensity:
     """Absorbed density at time ``t1`` after one block of width ``dt`` with
     boundary values g0 -> g1, from point masses ``mass_in`` at ``x_in``."""
     mirrors = _mirrors(side)
-    quad = _nodes_weights(mirrors, g1, t1, dt, cfg)
+    quad = _nodes_weights(mirrors, g1, t1, dt)
     if quad is None:
         return _empty_state(t1)
     x, w, cells = quad
@@ -569,32 +555,23 @@ def _step(
     return SubDensity(time=t1, nodes=x, weights=w, values=vals, cells=cells)
 
 
-def initial_subdensity(
-    g0: float, g1: float, t1: float, side: BoundarySide, cfg: QuadratureConfig
-) -> SubDensity:
+def initial_subdensity(g0: float, g1: float, t1: float, side: BoundarySide) -> SubDensity:
     """Absorbed density at the first knot for a linear first segment g0 -> g1:
     one block from a unit point mass at the origin."""
     if g0 <= 0.0:
         raise ValueError("boundary must start strictly above the origin")
-    return _step(np.zeros(1), np.ones(1), None, t1, g0, g1, t1, side, cfg)
+    return _step(np.zeros(1), np.ones(1), None, t1, g0, g1, t1, side)
 
 
 def propagated_subdensity(
-    state: SubDensity,
-    g0: float,
-    g1: float,
-    dt: float,
-    side: BoundarySide,
-    cfg: QuadratureConfig,
+    state: SubDensity, g0: float, g1: float, dt: float, side: BoundarySide
 ) -> SubDensity:
     """Push the absorbed density across one block with boundary values
     g0 at the state's knot and g1 at the next one."""
     t1 = state.time + dt
     if state.nodes.size == 0:
         return _empty_state(t1)
-    out = _step(
-        state.nodes, state.weights * state.values, state.cells, t1, g0, g1, dt, side, cfg
-    )
+    out = _step(state.nodes, state.weights * state.values, state.cells, t1, g0, g1, dt, side)
     if out.survival > state.survival + _SURVIVAL_SLACK:
         raise NumericalConsistencyError(
             f"survival increased across block ending at t={t1:g}: "
@@ -603,14 +580,14 @@ def propagated_subdensity(
     return out
 
 
-def subdensities(b: PiecewiseLinearBoundary, cfg: QuadratureConfig) -> Iterator[SubDensity]:
+def subdensities(b: PiecewiseLinearBoundary) -> Iterator[SubDensity]:
     """Absorbed densities at knots 1, 2, ..., blocks of ``b``, one block apart."""
     g = [float(v) for v in b.knot_values]
     dt = b.grid.block_width
-    state = initial_subdensity(g[0], g[1], b.grid.knot(1), b.side, cfg)
+    state = initial_subdensity(g[0], g[1], b.grid.knot(1), b.side)
     yield state
     for m in range(1, b.grid.blocks):
-        state = propagated_subdensity(state, g[m], g[m + 1], dt, b.side, cfg)
+        state = propagated_subdensity(state, g[m], g[m + 1], dt, b.side)
         yield state
 
 
@@ -671,6 +648,6 @@ class FptTable:
                 w.writerow(["%.17g" % v for v in row])
 
 
-def fpt_distribution_table(b: PiecewiseLinearBoundary, cfg: QuadratureConfig) -> FptTable:
+def fpt_distribution_table(b: PiecewiseLinearBoundary) -> FptTable:
     """Tabulate cdf, block masses and block-average densities at all knots."""
-    return FptTable.from_survivals(b.grid, [state.survival for state in subdensities(b, cfg)])
+    return FptTable.from_survivals(b.grid, [state.survival for state in subdensities(b)])

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,7 +41,6 @@ from .core import (
 )
 from .forward import (
     FptTable,
-    QuadratureConfig,
     crossing_mass,
     initial_subdensity,
     propagated_subdensity,
@@ -50,7 +49,7 @@ from .forward import (
 from .forward import fpt_distribution_table  # noqa: F401
 
 __all__ = [
-    "SolverConfig",
+    "PROBABILITY_TOL",
     "InverseSolution",
     "solve_first_block",
     "solve_block",
@@ -61,6 +60,11 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+#: Tolerance on each block's matched probability mass, not on its slope;
+#: slope accuracy follows from the local derivative and is reported through
+#: the solve records.
+PROBABILITY_TOL = 1e-10
 
 #: Bracket endpoints are never expanded beyond this magnitude.
 _BRACKET_LIMIT = 2.0**50
@@ -87,28 +91,10 @@ _MAX_ITERATIONS = 200
 _SLOPE_WARN = 1e3
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerance and quadrature of the block solves.
-
-    ``probability_tol`` is a tolerance on matched probability mass, not on
-    the slope; slope accuracy follows from the local derivative and is
-    reported through the solve records.  The bracketing policy is fixed
-    (``_BRACKET_HALFWIDTH``, ``_BRACKET_GROWTH``, ``_MAX_ITERATIONS``).
-    """
-
-    probability_tol: float = 1e-10
-    quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
-
-    def __post_init__(self) -> None:
-        if not self.probability_tol > 0.0:
-            raise ValueError("probability_tol must be positive")
-
-
-def _residual_tol(cfg: SolverConfig, target: float) -> float:
-    # tighter than probability_tol for tiny masses so the root itself, not
+def _residual_tol(target: float) -> float:
+    # tighter than PROBABILITY_TOL for tiny masses so the root itself, not
     # just the matched probability, is accurate
-    return min(cfg.probability_tol, max(1e-3 * target, 1e-300))
+    return min(PROBABILITY_TOL, max(1e-3 * target, 1e-300))
 
 
 def _refine_root(
@@ -118,17 +104,18 @@ def _refine_root(
     hi: float,
     f_lo: float,
     f_hi: float,
-    cfg: SolverConfig,
     iters: int,
-) -> tuple[float, float, int, float, float]:
-    """Locate the root of the decreasing ``fun`` inside a valid bracket.
+    block: int,
+) -> tuple[float, BlockSolveRecord]:
+    """Locate the root of the decreasing ``fun`` inside a valid bracket, and
+    record block ``block``'s solve, ``iters`` evaluations spent on bracketing.
 
     Regula falsi with the Illinois modification: every step is the secant
     through the two bracket ends, and an end kept twice in a row has its
     residual halved, so both ends close in.  A secant candidate outside the
     open bracket is replaced by the midpoint.
     """
-    tol = _residual_tol(cfg, target)
+    tol = _residual_tol(target)
     bracket = (lo, hi)
     r_lo, r_hi = f_lo - target, f_hi - target
     kept = 0  # +1 when lo survived the last step, -1 when hi did
@@ -143,12 +130,21 @@ def _refine_root(
         f_c = fun(cand)
         iters += 1
         if abs(f_c - target) <= tol or width <= _WIDTH_TOL * max(1.0, abs(lo), abs(hi)):
-            if abs(f_c - target) > cfg.probability_tol:
+            if abs(f_c - target) > PROBABILITY_TOL:
                 raise ConvergenceError(
                     f"bracket collapsed but residual {f_c - target:.3g} exceeds "
-                    f"the probability tolerance {cfg.probability_tol:g}"
+                    f"the probability tolerance {PROBABILITY_TOL:g}"
                 )
-            return cand, f_c, iters, bracket[0], bracket[1]
+            return cand, BlockSolveRecord(
+                block=block,
+                alpha=cand,
+                target_mass=target,
+                achieved=f_c,
+                residual=f_c - target,
+                bracket_lo=bracket[0],
+                bracket_hi=bracket[1],
+                iterations=iters,
+            )
         if f_c > target:
             lo, r_lo = cand, f_c - target
             if kept < 0:
@@ -166,7 +162,7 @@ def _refine_root(
 
 
 def solve_first_block(
-    d: TargetDistribution, grid: DyadicGrid, side: BoundarySide, cfg: SolverConfig
+    d: TargetDistribution, grid: DyadicGrid, side: BoundarySide
 ) -> tuple[float, BlockSolveRecord]:
     """Solve the constant level of the first segment.
 
@@ -201,18 +197,7 @@ def solve_first_block(
             raise ConvergenceError("level bracket expansion diverged toward zero")
         f_lo = fun(lo)
         iters += 1
-    root, achieved, iters, b_lo, b_hi = _refine_root(fun, target, lo, hi, f_lo, f_hi, cfg, iters)
-    rec = BlockSolveRecord(
-        block=0,
-        alpha=root,
-        target_mass=target,
-        achieved=achieved,
-        residual=achieved - target,
-        bracket_lo=b_lo,
-        bracket_hi=b_hi,
-        iterations=iters,
-    )
-    return root, rec
+    return _refine_root(fun, target, lo, hi, f_lo, f_hi, iters, 0)
 
 
 def solve_block(
@@ -220,7 +205,6 @@ def solve_block(
     d: TargetDistribution,
     m: int,
     side: BoundarySide,
-    cfg: SolverConfig,
     boundary_value: float,
     *,
     dt: float,
@@ -247,7 +231,7 @@ def solve_block(
     survival = p.survival
     if target <= 0.0:
         raise InfeasibleTargetError(f"block {m} target mass {target:g} is not positive", block=m)
-    if target >= survival - cfg.probability_tol:
+    if target >= survival - PROBABILITY_TOL:
         raise InfeasibleTargetError(
             f"block {m} target mass {target:.12g} reaches the survival "
             f"probability {survival:.12g}",
@@ -283,18 +267,7 @@ def solve_block(
             raise ConvergenceError(f"slope bracket for block {m} diverged downward")
         f_lo = fun(lo)
         iters += 1
-    root, achieved, iters, b_lo, b_hi = _refine_root(fun, target, lo, hi, f_lo, f_hi, cfg, iters)
-    rec = BlockSolveRecord(
-        block=m,
-        alpha=root,
-        target_mass=target,
-        achieved=achieved,
-        residual=achieved - target,
-        bracket_lo=b_lo,
-        bracket_hi=b_hi,
-        iterations=iters,
-    )
-    return root, rec
+    return _refine_root(fun, target, lo, hi, f_lo, f_hi, iters, m)
 
 
 @dataclass(frozen=True)
@@ -307,7 +280,7 @@ class InverseSolution:
 
     ``table`` is the hitting-time table of the solve's own forward pass:
     the survivals of the states it propagated to knots 1..blocks.  It equals
-    ``fpt_distribution_table(boundary, cfg.quadrature)`` bit for bit.
+    ``fpt_distribution_table(boundary)`` bit for bit.
     """
 
     boundary: PiecewiseLinearBoundary
@@ -342,7 +315,6 @@ def construct_boundary(
     horizon: float,
     level: int,
     side: BoundarySide,
-    cfg: SolverConfig | None = None,
 ) -> InverseSolution:
     """Build the piecewise-linear boundary whose block crossing probabilities
     match the target block masses on the dyadic grid.
@@ -351,7 +323,6 @@ def construct_boundary(
     any target sampling.  Any failing block aborts the run with the records
     solved so far attached to the raised error.
     """
-    cfg = cfg or SolverConfig()
     grid = DyadicGrid(horizon, level)
     report = validate_target(d, horizon)
     if not report.ok:
@@ -360,10 +331,10 @@ def construct_boundary(
     knots = np.empty(grid.blocks + 1)
     records: list[BlockSolveRecord] = []
 
-    alpha0, rec = solve_first_block(d, grid, side, cfg)
+    alpha0, rec = solve_first_block(d, grid, side)
     records.append(rec)
     knots[0] = knots[1] = alpha0
-    state = initial_subdensity(alpha0, alpha0, dt, side, cfg.quadrature)
+    state = initial_subdensity(alpha0, alpha0, dt, side)
     survivals = [state.survival]
 
     # Block m starts from block m-1's slope and first steps twice the last
@@ -372,7 +343,7 @@ def construct_boundary(
     for m in range(1, grid.blocks):
         try:
             slope, rec = solve_block(
-                state, d, m, side, cfg, boundary_value=float(knots[m]), dt=dt,
+                state, d, m, side, boundary_value=float(knots[m]), dt=dt,
                 guess=guess, step=step,
             )
         except (InfeasibleTargetError, ConvergenceError) as exc:
@@ -383,9 +354,7 @@ def construct_boundary(
         step = max(2.0 * abs(slope - (guess or 0.0)), _STEP_FLOOR)
         guess = slope
         knots[m + 1] = knots[m] + slope * dt
-        state = propagated_subdensity(
-            state, float(knots[m]), float(knots[m + 1]), dt, side, cfg.quadrature
-        )
+        state = propagated_subdensity(state, float(knots[m]), float(knots[m + 1]), dt, side)
         survivals.append(state.survival)
 
     boundary = PiecewiseLinearBoundary(side, grid, knots)
@@ -454,13 +423,14 @@ def refine(
     n_min: int,
     n_max: int,
     side: BoundarySide,
-    cfg: SolverConfig | None = None,
 ) -> RefinementReport:
     """Solve the inverse problem on levels n_min..n_max and report how the
     boundaries stabilize across the nested grids."""
-    cfg = cfg or SolverConfig()
-    if not 1 <= n_min <= n_max <= MAX_LEVEL:
-        raise ValueError(f"need 1 <= n_min <= n_max <= {MAX_LEVEL}")
+    for name, n in (("n_min", n_min), ("n_max", n_max)):
+        if not 1 <= n <= MAX_LEVEL:
+            raise ValueError(f"{name}: level must be in [1, {MAX_LEVEL}], got {n}")
+    if n_min > n_max:
+        raise ValueError(f"need n_min <= n_max, got {n_min} > {n_max}")
     coarse = DyadicGrid(horizon, n_min)
     coarse_masses = np.array(
         [block_mass(d, coarse.knot(m), coarse.knot(m + 1)) for m in range(coarse.blocks)]
@@ -468,7 +438,7 @@ def refine(
     reports: list[LevelReport] = []
     prev_boundary: PiecewiseLinearBoundary | None = None
     for n in range(n_min, n_max + 1):
-        sol = construct_boundary(d, horizon, n, side, cfg)
+        sol = construct_boundary(d, horizon, n, side)
         sup_prev = None
         if prev_boundary is not None:
             ts = prev_boundary.grid.knots

@@ -30,11 +30,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .core import BoundarySide, PiecewiseLinearBoundary, TargetDistribution
-from .forward import (
-    QuadratureConfig,
-    bridge_crossing_symmetric,
-    bridge_crossing_upper,
-)
+from .forward import bridge_crossing_symmetric, bridge_crossing_upper
 
 __all__ = [
     "SimConfig",
@@ -213,9 +209,9 @@ def ks_block_distance(e: EmpiricalHittingDistribution, d: TargetDistribution) ->
     return float(np.max(np.abs(e.cumulative - d.cdf_at(e.times))))
 
 
-def _dim_nodes(b: PiecewiseLinearBoundary, k: int, cfg: QuadratureConfig):
-    # equal 12-point Gauss-Legendre panels, at most 3*sqrt(dt) wide, over
-    # 8*sqrt(t) around 0 cut by the walls at knot k; built
+def _dim_nodes(b: PiecewiseLinearBoundary, k: int):
+    # at least 8 equal 12-point Gauss-Legendre panels, at most 3*sqrt(dt)
+    # wide, over 8*sqrt(t) around 0 cut by the walls at knot k; built
     # here so the tensor route shares no quadrature machinery with the
     # sequential propagation it cross-checks
     dt = b.grid.block_width
@@ -224,7 +220,7 @@ def _dim_nodes(b: PiecewiseLinearBoundary, k: int, cfg: QuadratureConfig):
     lo = -hi if b.side is BoundarySide.SYMMETRIC else -reach
     if not hi > lo:
         return None
-    panels = max(2, math.ceil(cfg.nodes_per_block / 12), math.ceil((hi - lo) / (3.0 * math.sqrt(dt))))
+    panels = max(8, math.ceil((hi - lo) / (3.0 * math.sqrt(dt))))
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * np.diff(edges)
@@ -255,12 +251,12 @@ def _kernel_symmetric_literal(x_in, x_out, u0: float, u1: float, dt: float) -> n
     return weights * gauss / math.sqrt(2.0 * math.pi * dt)
 
 
-def _survival_tensor(b: PiecewiseLinearBoundary, j: int, cfg: QuadratureConfig) -> float:
+def _survival_tensor(b: PiecewiseLinearBoundary, j: int) -> float:
     """P(no crossing through knot j) as a literal j-dimensional integral."""
     dt = b.grid.block_width
     dims = []
     for k in range(1, j + 1):
-        nw = _dim_nodes(b, k, cfg)
+        nw = _dim_nodes(b, k)
         if nw is None:
             return 0.0
         dims.append(nw)
@@ -298,9 +294,7 @@ def _survival_tensor(b: PiecewiseLinearBoundary, j: int, cfg: QuadratureConfig) 
     return total
 
 
-def brute_force_block_check(
-    b: PiecewiseLinearBoundary, m: int, cfg: QuadratureConfig
-) -> float:
+def brute_force_block_check(b: PiecewiseLinearBoundary, m: int) -> float:
     """Block crossing probability by direct tensor-product quadrature.
 
     Cost grows exponentially with the block index, so only m <= 3 is
@@ -310,4 +304,4 @@ def brute_force_block_check(
         raise ValueError("brute-force check supports block indices 1..3 only")
     if m + 1 > b.grid.blocks:
         raise ValueError("boundary grid has too few blocks")
-    return _survival_tensor(b, m, cfg) - _survival_tensor(b, m + 1, cfg)
+    return _survival_tensor(b, m) - _survival_tensor(b, m + 1)

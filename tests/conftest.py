@@ -6,7 +6,6 @@ import pytest
 from ifpt import (
     LinearSegment,
     PiecewiseLinearBoundary,
-    QuadratureConfig,
     TargetDistribution,
     linear_boundary_cdf,
     linear_fpt_density,
@@ -30,10 +29,10 @@ def make_line_target(slope: float, level: float) -> TargetDistribution:
     return TargetDistribution(density=density, cdf=cdf, kind="custom")
 
 
-def block_crossing_mass(b: PiecewiseLinearBoundary, m: int, cfg: QuadratureConfig) -> float:
+def block_crossing_mass(b: PiecewiseLinearBoundary, m: int) -> float:
     """Probability that the first crossing of ``b`` falls in block m >= 1:
     ``crossing_mass`` on the state at knot m, the m-th from ``subdensities``."""
-    state = next(itertools.islice(subdensities(b, cfg), m - 1, None))
+    state = next(itertools.islice(subdensities(b), m - 1, None))
     g0, dt = float(b.knot_values[m]), b.grid.block_width
     return crossing_mass(state, g0, g0 + float(b.slopes[m]) * dt, dt, b.side)
 

@@ -15,9 +15,7 @@ from ifpt import (
     DyadicGrid,
     LinearSegment,
     PiecewiseLinearBoundary,
-    QuadratureConfig,
     SimConfig,
-    SolverConfig,
     anderson_two_sided_density,
     brute_force_block_check,
     constant_boundary_cdf,
@@ -31,9 +29,8 @@ from ifpt import (
     symmetric_linear_density,
 )
 from ifpt.forward import crossing_mass, initial_subdensity, propagated_subdensity
+from ifpt.inverse import PROBABILITY_TOL
 
-QCFG = QuadratureConfig()
-SCFG = SolverConfig()
 UP = BoundarySide.UPPER_ONLY
 SYM = BoundarySide.SYMMETRIC
 
@@ -51,7 +48,7 @@ def test_01_constant_boundary_closed_form():
     start = time.perf_counter()
     grid = DyadicGrid(1.0, 6)
     b = PiecewiseLinearBoundary(UP, grid, np.ones(grid.blocks + 1))
-    table = fpt_distribution_table(b, QCFG)
+    table = fpt_distribution_table(b)
     exact = 2.0 * ndtr(-1.0 / np.sqrt(grid.knots[1:]))
     err = float(np.max(np.abs(table.cdf[1:] - exact)))
     _report(
@@ -67,7 +64,7 @@ def test_02_linear_boundary_oracle():
     start = time.perf_counter()
     grid = DyadicGrid(1.0, 6)
     b = PiecewiseLinearBoundary(UP, grid, 1.0 + 0.5 * grid.knots)
-    table = fpt_distribution_table(b, QCFG)
+    table = fpt_distribution_table(b)
     seg = LinearSegment(0.5, 1.0)
     worst = 0.0
     for m in range(grid.blocks):
@@ -113,8 +110,8 @@ def test_04_brute_force_equivalence(block_crossing):
     b = PiecewiseLinearBoundary(UP, grid, 1.0 + 0.25 * grid.knots)
     worst = 0.0
     for m in (1, 2, 3):
-        brute = brute_force_block_check(b, m, QCFG)
-        fwd = block_crossing(b, m, QCFG)
+        brute = brute_force_block_check(b, m)
+        fwd = block_crossing(b, m)
         worst = max(worst, abs(brute - fwd))
     _report(
         "criterion 4 tensor-quadrature equivalence",
@@ -148,12 +145,10 @@ def test_05_monotonicity_suites():
         values = rng.uniform(0.6, 1.6) + rng.uniform(-0.2, 0.3) * grid.knots
         b = PiecewiseLinearBoundary(side, grid, values)
         dt = grid.block_width
-        state = initial_subdensity(float(values[0]), float(values[1]), dt, side, QCFG)
+        state = initial_subdensity(float(values[0]), float(values[1]), dt, side)
         for m in range(1, grid.blocks - 1):
             states.append((state, float(values[m]), dt, side))
-            state = propagated_subdensity(
-                state, float(values[m]), float(values[m + 1]), dt, side, QCFG
-            )
+            state = propagated_subdensity(state, float(values[m]), float(values[m + 1]), dt, side)
     slope_violations = 0
     for _ in range(1000):
         state, g0, dt, side = states[int(rng.integers(0, len(states)))]
@@ -180,7 +175,7 @@ def test_06_inverse_per_block_matching():
     for side in (UP, SYM):
         for level in (2, 4, 6):
             start = time.perf_counter()
-            sol = construct_boundary(d, 1.0, level, side, SCFG)
+            sol = construct_boundary(d, 1.0, level, side)
             took = time.perf_counter() - start
             if level == 6:
                 elapsed6 = max(elapsed6, took)
@@ -197,15 +192,15 @@ def test_06_inverse_per_block_matching():
 def test_07_nested_grid_consistency():
     start = time.perf_counter()
     d = exponential_target(1.0)
-    sol8 = construct_boundary(d, 1.0, 8, UP, SCFG)
-    table = fpt_distribution_table(sol8.boundary, QCFG)
+    sol8 = construct_boundary(d, 1.0, 8, UP)
+    table = fpt_distribution_table(sol8.boundary)
     coarse = DyadicGrid(1.0, 4)
     fine = table.block_masses[1:].reshape(coarse.blocks, -1).sum(axis=1)
     targets = np.array(
         [float(d.cdf_at(coarse.knot(m + 1)) - d.cdf_at(coarse.knot(m))) for m in range(16)]
     )
     defect = float(np.max(np.abs(fine - targets)))
-    allowed = 2**4 * SCFG.probability_tol + 1e-8
+    allowed = 2**4 * PROBABILITY_TOL + 1e-8
     _report(
         "criterion 7 nested-grid consistency",
         defect <= allowed,
@@ -221,7 +216,7 @@ def test_08_forward_inverse_round_trip(line_target):
     d = line_target(0.5, 1.0)
     sups = {}
     for level in (4, 8):
-        sol = construct_boundary(d, 1.0, level, UP, SCFG)
+        sol = construct_boundary(d, 1.0, level, UP)
         truth = 1.0 + 0.5 * sol.boundary.grid.knots
         sups[level] = float(np.max(np.abs(sol.boundary.knot_values - truth)))
     _report(
@@ -237,7 +232,7 @@ def test_08_forward_inverse_round_trip(line_target):
 def test_09_end_to_end_target_match():
     start = time.perf_counter()
     d = exponential_target(1.0)
-    sol = construct_boundary(d, 1.0, 6, UP, SCFG)
+    sol = construct_boundary(d, 1.0, 6, UP)
     cfg = SimConfig(paths=1_000_000, seed=20240817)
     emp = simulate_hitting_times(sol.boundary, cfg)
     stat = ks_block_distance(emp, d)

@@ -198,5 +198,39 @@ class TestConvergenceCommand:
         code = run("convergence", "--target", "exp:1", "--T", 1, "--n-min", 2, "--n-max", 15,
                    "--out", tmp_path / "ladder")
         assert code == 2
-        assert "n_max" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "n_max" in err
+        # the phrase ``inverse --n 15`` and ``forward`` on a 2^15-block file print
+        assert "level must be in [1, 14], got 15" in err
         assert not (tmp_path / "ladder").exists()
+
+    def test_level_below_one_exits_2_before_solving(self, tmp_path, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a level was solved before the level check")
+
+        monkeypatch.setattr(inv, "construct_boundary", no_solve)
+        code = run("convergence", "--target", "exp:1", "--T", 1, "--n-min", 0, "--n-max", 3,
+                   "--out", tmp_path / "ladder")
+        assert code == 2
+        assert "n_min: level must be in [1, 14], got 0" in capsys.readouterr().err
+        assert not (tmp_path / "ladder").exists()
+
+
+#: Each subcommand with its required arguments; the files need not exist,
+#: since argument parsing fails first.
+SUBCOMMANDS = {
+    "forward": ["--boundary", "b.csv"],
+    "inverse": ["--target", "exp:1", "--T", "1", "--n", "2"],
+    "simulate": ["--boundary", "b.csv", "--paths", "10"],
+    "verify": ["--boundary", "b.csv", "--target", "exp:1"],
+    "convergence": ["--target", "exp:1", "--T", "1", "--n-min", "2", "--n-max", "3"],
+}
+
+
+@pytest.mark.parametrize("flag", [["--tol", "1e-10"], ["--nodes", "96"]], ids=["tol", "nodes"])
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_removed_flags_are_rejected(command, flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        run(command, *SUBCOMMANDS[command], *flag, "--out", tmp_path)
+    assert exc_info.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err

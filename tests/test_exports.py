@@ -5,10 +5,11 @@ import pytest
 MODULES = ["ifpt", "ifpt.cli", "ifpt.core", "ifpt.closed_form", "ifpt.forward",
            "ifpt.inverse", "ifpt.montecarlo"]
 
-#: The per-knot helpers that restarted the propagation from t = 0, and the
-#: process-global clamp counter: no module exports them.
+#: The per-knot helpers that restarted the propagation from t = 0, the
+#: process-global clamp counter and the quadrature and solver config objects:
+#: no module exports them.
 REMOVED = ["survival_probability", "block_crossing_probability", "residual_fgkey",
-           "negative_clamp_count"]
+           "negative_clamp_count", "QuadratureConfig", "SolverConfig"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -10,7 +10,6 @@ from ifpt import (
     DyadicGrid,
     LinearSegment,
     PiecewiseLinearBoundary,
-    QuadratureConfig,
     SubDensity,
     block_mass,
     constant_boundary_cdf,
@@ -21,6 +20,7 @@ from ifpt import (
 )
 from ifpt.core import ConvergenceError, NumericalConsistencyError
 from ifpt.forward import (
+    _MIN_NODES,
     _TOEPLITZ,
     _TRUNCATION_SIGMAS,
     _WIDE,
@@ -35,7 +35,6 @@ from ifpt.forward import (
     propagated_subdensity,
 )
 
-CFG = QuadratureConfig()
 UPPER = (1.0,)
 CORRIDOR = (1.0, -1.0)
 
@@ -45,26 +44,16 @@ def const_boundary(side, level, value=1.0, horizon=1.0):
     return PiecewiseLinearBoundary(side, grid, np.full(grid.blocks + 1, value))
 
 
-class TestQuadratureConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(nodes_per_block=4)
-        with pytest.raises(TypeError):
-            QuadratureConfig(truncation_width=2.0)
-        with pytest.raises(TypeError):
-            QuadratureConfig(panel_rule="simpson")
-
-
 class TestInitSubdensity:
     def test_constant_upper_survival(self):
         b = const_boundary(BoundarySide.UPPER_ONLY, 1)
-        state = next(subdensities(b, CFG))
+        state = next(subdensities(b))
         expect = 2.0 * ndtr(1.0 / math.sqrt(0.5)) - 1.0
         assert state.survival == pytest.approx(expect, abs=1e-12)
 
     def test_constant_symmetric_survival(self):
         b = const_boundary(BoundarySide.SYMMETRIC, 1)
-        state = next(subdensities(b, CFG))
+        state = next(subdensities(b))
         expect = 1.0 - constant_boundary_cdf(1.0, 0.5, BoundarySide.SYMMETRIC)
         assert state.survival == pytest.approx(expect, abs=1e-12)
 
@@ -81,7 +70,7 @@ class TestInitSubdensity:
     def test_sloped_first_segment(self):
         grid = DyadicGrid(1.0, 1)
         b = PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, grid, 1.0 + 0.5 * grid.knots)
-        state = next(subdensities(b, CFG))
+        state = next(subdensities(b))
         seg = LinearSegment(0.5, 1.0)
         expect = 1.0 - quad(lambda s: linear_fpt_density(seg, s), 1e-12, 0.5)[0]
         assert state.survival == pytest.approx(expect, abs=1e-10)
@@ -90,7 +79,7 @@ class TestInitSubdensity:
 class TestPropagation:
     def test_far_boundary_preserves_survival(self):
         b = const_boundary(BoundarySide.UPPER_ONLY, 2, value=1e6)
-        states = subdensities(b, CFG)
+        states = subdensities(b)
         state = next(states)
         out = next(states)
         assert out.survival == pytest.approx(state.survival, abs=1e-12)
@@ -98,54 +87,54 @@ class TestPropagation:
 
     def test_composed_blocks_match_single_closed_form(self):
         b = const_boundary(BoundarySide.UPPER_ONLY, 2)
-        *_, state = subdensities(b, CFG)
+        *_, state = subdensities(b)
         assert state.survival == pytest.approx(2.0 * ndtr(1.0) - 1.0, abs=1e-8)
 
     def test_zero_input_gives_zero_output(self):
         b = const_boundary(BoundarySide.UPPER_ONLY, 2)
-        state = next(subdensities(b, CFG))
+        state = next(subdensities(b))
         dead = SubDensity(
             time=state.time,
             nodes=state.nodes,
             weights=state.weights,
             values=np.zeros_like(state.values),
         )
-        out = propagated_subdensity(dead, 1.0, 1.0, b.grid.block_width, b.side, CFG)
+        out = propagated_subdensity(dead, 1.0, 1.0, b.grid.block_width, b.side)
         assert out.survival == 0.0
         assert np.all(out.values == 0.0)
 
     def test_half_steps_compose_to_full_block(self):
         grid = DyadicGrid(1.0, 3)
         b = PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, grid, 1.0 + 0.3 * grid.knots)
-        states = subdensities(b, CFG)
+        states = subdensities(b)
         next(states)
         state = next(states)
         dt = grid.block_width
         g0, g1 = float(b.knot_values[2]), float(b.knot_values[3])
         gm = float(b.upper(state.time + dt / 2.0))
-        full = propagated_subdensity(state, g0, g1, dt, b.side, CFG)
-        half = propagated_subdensity(state, g0, gm, dt / 2.0, b.side, CFG)
-        half = propagated_subdensity(half, gm, g1, dt / 2.0, b.side, CFG)
+        full = propagated_subdensity(state, g0, g1, dt, b.side)
+        half = propagated_subdensity(state, g0, gm, dt / 2.0, b.side)
+        half = propagated_subdensity(half, gm, g1, dt / 2.0, b.side)
         assert half.survival == pytest.approx(full.survival, abs=1e-9)
 
 
 class TestSurvivalProbability:
     def test_constant_boundary_levels(self):
         b = const_boundary(BoundarySide.UPPER_ONLY, 3)
-        *_, last = subdensities(b, CFG)
+        *_, last = subdensities(b)
         assert last.survival == pytest.approx(2.0 * ndtr(1.0) - 1.0, abs=1e-10)
 
     def test_first_knot_equals_init_mass(self):
         b = const_boundary(BoundarySide.SYMMETRIC, 3)
-        first = initial_subdensity(1.0, 1.0, b.grid.knot(1), b.side, CFG)
-        assert next(subdensities(b, CFG)).survival == first.survival
+        first = initial_subdensity(1.0, 1.0, b.grid.knot(1), b.side)
+        assert next(subdensities(b)).survival == first.survival
 
     def test_linear_boundary_against_quadrature(self):
         grid = DyadicGrid(1.0, 4)
         b = PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, grid, 1.0 + 0.5 * grid.knots)
         seg = LinearSegment(0.5, 1.0)
         expect = 1.0 - quad(lambda s: linear_fpt_density(seg, s), 1e-12, 1.0)[0]
-        *_, last = subdensities(b, CFG)
+        *_, last = subdensities(b)
         assert last.survival == pytest.approx(expect, abs=1e-10)
 
 
@@ -154,7 +143,7 @@ class TestBlockCrossing:
     @staticmethod
     def _block_one(level, a):
         b = const_boundary(BoundarySide.UPPER_ONLY, level)
-        state, dt = next(subdensities(b, CFG)), b.grid.block_width
+        state, dt = next(subdensities(b)), b.grid.block_width
         return state, crossing_mass(state, 1.0, 1.0 + a * dt, dt, b.side)
 
     def test_escaping_boundary_kills_crossing(self):
@@ -174,18 +163,18 @@ class TestBlockCrossing:
 class TestFptTable:
     def test_constant_boundary_cdf_at_horizon(self):
         b = const_boundary(BoundarySide.UPPER_ONLY, 2)
-        table = fpt_distribution_table(b, CFG)
+        table = fpt_distribution_table(b)
         assert table.cdf[-1] == pytest.approx(2.0 * ndtr(-1.0), abs=1e-10)
         assert table.cdf[0] == 0.0
 
     def test_far_boundary_all_zero(self):
         b = const_boundary(BoundarySide.UPPER_ONLY, 2, value=1e6)
-        table = fpt_distribution_table(b, CFG)
+        table = fpt_distribution_table(b)
         assert np.all(table.block_masses < 1e-12)
 
     def test_masses_telescope(self):
         b = const_boundary(BoundarySide.SYMMETRIC, 3)
-        table = fpt_distribution_table(b, CFG)
+        table = fpt_distribution_table(b)
         assert float(table.block_masses.sum()) == pytest.approx(float(table.cdf[-1]), abs=1e-15)
         assert table.final_survival + float(table.cdf[-1]) == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(table.cdf) >= 0.0)
@@ -193,7 +182,7 @@ class TestFptTable:
 
     def test_csv_output(self, tmp_path):
         b = const_boundary(BoundarySide.UPPER_ONLY, 1)
-        table = fpt_distribution_table(b, CFG)
+        table = fpt_distribution_table(b)
         out = tmp_path / "fpt_table.csv"
         table.write_csv(out)
         lines = out.read_text().splitlines()
@@ -205,7 +194,7 @@ class TestFptTable:
 
         grid = DyadicGrid(1.0, 4)
         b = PiecewiseLinearBoundary(BoundarySide.SYMMETRIC, grid, 1.0 + 0.5 * grid.knots)
-        table = fpt_distribution_table(b, CFG)
+        table = fpt_distribution_table(b)
         for m in range(grid.blocks):
             ref = quad(
                 lambda s: symmetric_linear_density(0.5, 1.0, s),
@@ -222,28 +211,28 @@ def _residual(block_crossing, b, d, m):
     and its target mass (near zero for a solved boundary)."""
     dt = b.grid.block_width
     if m == 0:
-        realized = 1.0 - next(subdensities(b, CFG)).survival
+        realized = 1.0 - next(subdensities(b)).survival
     else:
-        realized = block_crossing(b, m, CFG)
+        realized = block_crossing(b, m)
     return (realized - block_mass(d, m * dt, (m + 1) * dt)) / dt
 
 
 class TestResidualDiagnostic:
     def test_solved_boundary_residual_small(self, block_crossing):
-        from ifpt import SolverConfig, construct_boundary
+        from ifpt import construct_boundary
 
         d = exponential_target(1.0)
-        sol = construct_boundary(d, 1.0, 3, BoundarySide.UPPER_ONLY, SolverConfig())
+        sol = construct_boundary(d, 1.0, 3, BoundarySide.UPPER_ONLY)
         dt = sol.boundary.grid.block_width
         for m in (0, 3, 7):
             r = _residual(block_crossing, sol.boundary, d, m)
             assert abs(r) <= 1e-10 / dt + 1e-9
 
     def test_perturbed_slope_changes_sign_opposite(self, block_crossing):
-        from ifpt import SolverConfig, construct_boundary
+        from ifpt import construct_boundary
 
         d = exponential_target(1.0)
-        sol = construct_boundary(d, 1.0, 3, BoundarySide.UPPER_ONLY, SolverConfig())
+        sol = construct_boundary(d, 1.0, 3, BoundarySide.UPPER_ONLY)
         knots = sol.boundary.knot_values.copy()
         m = 4
         dt = sol.boundary.grid.block_width
@@ -287,7 +276,7 @@ def _recorded_table(b, kernel, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(fw, "_propagate", record)
-        table = fpt_distribution_table(b, CFG)
+        table = fpt_distribution_table(b)
     return values, table
 
 
@@ -309,9 +298,9 @@ class TestBandedPropagation:
 
     @pytest.mark.parametrize("level", range(2, 9))
     def test_solved_exponential_boundary(self, level, monkeypatch):
-        from ifpt import SolverConfig, construct_boundary
+        from ifpt import construct_boundary
 
-        sol = construct_boundary(exponential_target(1.0), 1.0, level, self.side, SolverConfig())
+        sol = construct_boundary(exponential_target(1.0), 1.0, level, self.side)
         self.assert_matches_dense(sol.boundary, monkeypatch)
 
     def test_boundary_dipping_below_zero(self, monkeypatch):
@@ -334,12 +323,12 @@ class TestBandedPropagation:
         point = SubDensity(
             time=1.0 - 2.0 * dt, nodes=np.zeros(1), weights=np.ones(1), values=np.ones(1)
         )
-        before = propagated_subdensity(point, 1.0, 1.0, dt, self.side, CFG)
+        before = propagated_subdensity(point, 1.0, 1.0, dt, self.side)
         return before, dt
 
     def test_band_is_narrow_at_level_10(self):
         before, dt = self.last_blocks(10)
-        after = propagated_subdensity(before, 1.0, 1.0, dt, self.side, CFG)
+        after = propagated_subdensity(before, 1.0, 1.0, dt, self.side)
         idx, inside = _band_strip(before.nodes, after.nodes, dt)
         assert inside.any(axis=1).all()
         assert idx.shape[1] < before.nodes.size * self.band_share
@@ -361,7 +350,7 @@ class TestBandedPropagation:
 
             with monkeypatch.context() as mp:
                 mp.setattr(fw, "_band_strip", record)
-                after = propagated_subdensity(before, 1.0, 1.0, dt, self.side, CFG)
+                after = propagated_subdensity(before, 1.0, 1.0, dt, self.side)
             nodes.append(after.nodes.size)
             entries.append(sum(strips))
         assert 1.8 < nodes[1] / nodes[0] < 2.2
@@ -399,10 +388,10 @@ class TestBandedCorridor(TestBandedPropagation):
 
 
 def _states(side, level=8):
-    from ifpt import SolverConfig, construct_boundary
+    from ifpt import construct_boundary
 
-    sol = construct_boundary(exponential_target(1.0), 1.0, level, side, SolverConfig())
-    return sol.boundary, list(subdensities(sol.boundary, CFG))
+    sol = construct_boundary(exponential_target(1.0), 1.0, level, side)
+    return sol.boundary, list(subdensities(sol.boundary))
 
 
 SIDES = [BoundarySide.UPPER_ONLY, BoundarySide.SYMMETRIC]
@@ -469,25 +458,24 @@ class TestLattice:
                 assert h / 4.0 <= piece < 1.25 * h
 
     @pytest.mark.parametrize("side", SIDES, ids=["upper", "symmetric"])
-    @pytest.mark.parametrize("nodes_per_block", [96, 300])
-    def test_narrow_window_keeps_equal_panels(self, side, nodes_per_block):
+    @pytest.mark.parametrize("min_nodes", [_MIN_NODES])
+    def test_narrow_window_keeps_equal_panels(self, side, min_nodes):
         # the first knot at n = 8 has a window of 6 cells (9 standard
-        # deviations either side); a floor of 300 nodes needs 25
-        cfg = QuadratureConfig(nodes_per_block=nodes_per_block)
+        # deviations either side); a floor of 96 nodes needs 8
         dt = 2.0**-8
         point = SubDensity(time=0.0, nodes=np.zeros(1), weights=np.ones(1), values=np.ones(1))
-        first = propagated_subdensity(point, 1.0, 1.0, dt, side, cfg)
+        first = propagated_subdensity(point, 1.0, 1.0, dt, side)
         assert first.cells is None
-        assert first.nodes.size >= nodes_per_block
+        assert first.nodes.size >= min_nodes
         # every panel but the three graded at each wall has the same width
         widths = first.weights.reshape(-1, 12).sum(axis=1)
         equal = widths[3:-3] if side is BoundarySide.SYMMETRIC else widths[:-3]
         assert np.ptp(equal) <= 1e-12
         # at t = 1 the window holds 48 full cells above, 10 on the corridor
         point = SubDensity(time=1.0 - dt, nodes=np.zeros(1), weights=np.ones(1), values=np.ones(1))
-        wide = propagated_subdensity(point, 1.0, 1.0, dt, side, cfg)
-        assert wide.nodes.size >= nodes_per_block
-        assert (wide.cells is None) == (side is BoundarySide.SYMMETRIC and nodes_per_block == 300)
+        wide = propagated_subdensity(point, 1.0, 1.0, dt, side)
+        assert wide.nodes.size >= min_nodes
+        assert wide.cells is not None
 
     @pytest.mark.parametrize("level", [7, 8, 12])
     def test_toeplitz_blocks_are_the_gaussian_on_lattice_nodes(self, level):
@@ -515,7 +503,7 @@ class TestConsistencyGuards:
         import ifpt.forward as fw
 
         b = const_boundary(BoundarySide.UPPER_ONLY, 2, value=0.5)
-        states = subdensities(b, CFG)
+        states = subdensities(b)
         next(states)
         real = fw._propagate
         monkeypatch.setattr(fw, "_propagate", lambda *a: 1.5 * real(*a))
@@ -667,10 +655,10 @@ class TestImageSeriesReference:
             assert np.all(np.abs(crossing - ref) <= 1e-12 * ref)
 
     def test_table_with_literal_kernel(self, monkeypatch):
-        from ifpt import SolverConfig, construct_boundary
+        from ifpt import construct_boundary
 
         sol = construct_boundary(
-            exponential_target(1.0), 1.0, 6, BoundarySide.SYMMETRIC, SolverConfig()
+            exponential_target(1.0), 1.0, 6, BoundarySide.SYMMETRIC
         )
         b = sol.boundary
         values, table = _recorded_table(b, _propagate, monkeypatch)

@@ -11,12 +11,10 @@ from ifpt import (
     BoundarySide,
     DyadicGrid,
     PiecewiseLinearBoundary,
-    QuadratureConfig,
     SimConfig,
     TargetDistribution,
     brute_force_block_check,
     constant_boundary_cdf,
-    SolverConfig,
     construct_boundary,
     exponential_target,
     ks_block_distance,
@@ -25,8 +23,6 @@ from ifpt import (
 )
 from ifpt.forward import bridge_crossing_symmetric, bridge_crossing_upper
 from ifpt.montecarlo import _SCREEN_SLACK, EmpiricalHittingDistribution, _simulate_chunk
-
-QCFG = QuadratureConfig()
 
 
 def const_boundary(side, level, value=1.0):
@@ -139,7 +135,7 @@ class TestKsBlockDistance:
 class TestBruteForce:
     def test_first_block_against_closed_form(self):
         b = const_boundary(BoundarySide.UPPER_ONLY, 1)
-        got = brute_force_block_check(b, 1, QCFG)
+        got = brute_force_block_check(b, 1)
         expect = (2.0 * ndtr(1.0 / math.sqrt(0.5)) - 1.0) - (2.0 * ndtr(1.0) - 1.0)
         assert got == pytest.approx(expect, abs=1e-6)
 
@@ -147,22 +143,22 @@ class TestBruteForce:
     def test_agrees_with_sequential_route(self, m, block_crossing):
         grid = DyadicGrid(1.0, 2)
         b = PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, grid, 1.0 + 0.25 * grid.knots)
-        brute = brute_force_block_check(b, m, QCFG)
-        fwd = block_crossing(b, m, QCFG)
+        brute = brute_force_block_check(b, m)
+        fwd = block_crossing(b, m)
         assert brute == pytest.approx(fwd, abs=1e-6)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_symmetric_variant(self, m, block_crossing):
         grid = DyadicGrid(1.0, 2)
         b = PiecewiseLinearBoundary(BoundarySide.SYMMETRIC, grid, 1.0 + 0.25 * grid.knots)
-        brute = brute_force_block_check(b, m, QCFG)
-        fwd = block_crossing(b, m, QCFG)
+        brute = brute_force_block_check(b, m)
+        fwd = block_crossing(b, m)
         assert brute == pytest.approx(fwd, abs=1e-6)
 
     def test_dimension_cap(self):
         b = const_boundary(BoundarySide.UPPER_ONLY, 3)
         with pytest.raises(ValueError):
-            brute_force_block_check(b, 4, QCFG)
+            brute_force_block_check(b, 4)
 
 
 class TestOracleTriangle:
@@ -170,8 +166,8 @@ class TestOracleTriangle:
         grid = DyadicGrid(1.0, 2)
         b = PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, grid, 1.0 + 0.25 * grid.knots)
         m = 2
-        fwd = block_crossing(b, m, QCFG)
-        brute = brute_force_block_check(b, m, QCFG)
+        fwd = block_crossing(b, m)
+        brute = brute_force_block_check(b, m)
         emp = simulate_hitting_times(b, SimConfig(paths=200_000, seed=21))
         freq = float(emp.frequencies[m])
         se = float(emp.stderr[m])
@@ -221,9 +217,7 @@ def _steep_corridor():
 
 
 def _solved_corridor():
-    return construct_boundary(
-        exponential_target(1.0), 1.0, 5, BoundarySide.SYMMETRIC, SolverConfig()
-    ).boundary
+    return construct_boundary(exponential_target(1.0), 1.0, 5, BoundarySide.SYMMETRIC).boundary
 
 
 def _upper_line():
