@@ -387,6 +387,10 @@ class SubDensity:
     in increasing order; the weighted sum of values is the survival
     probability.  ``cells`` names the nodes that fill whole lattice cells
     (None: no such run).
+
+    On the symmetric corridor every state the forward engine makes is even,
+    bit for bit: ``nodes == -nodes[::-1]``, ``weights == weights[::-1]`` and
+    ``values == values[::-1]``.
     """
 
     time: float

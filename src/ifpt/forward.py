@@ -67,6 +67,17 @@ cells keeps equal panels and has no regular cells, so ``_MIN_NODES`` stays a
 floor on the node count; such blocks, the first knot's point mass and narrow
 corridors take the band alone.
 
+The corridor's density is even.  It starts from a point mass at 0 and the
+walls -g, g are symmetric under x -> -x, so the absorbed density is even at
+every knot.  Every corridor window is laid out as mirrored pairs of nodes
+-x, x, bit for bit: the lattice is anchored at 0, the panel rule is made
+exactly symmetric, the graded wall pieces mirror each other and the equal
+panels' edges are made exactly antisymmetric.  So a step computes only the
+outputs x > 0 and mirrors them, and the block crossing, an even function of
+the start, is evaluated at x > 0 against the mass folded onto them
+(:func:`_fold`).  This halves the propagation and the crossing; the states
+keep the full node set.
+
 Per-block crossing probabilities from a fixed state have closed forms, so
 slope candidates during root finding cost O(nodes) while the full
 propagation runs once per block.  The first knot's density is one
@@ -108,8 +119,10 @@ __all__ = [
 #: Gauss-Legendre points per panel.
 _PANEL_ORDER = 12
 
-#: The panel rule's nodes and weights on [-1, 1].
+#: The panel rule's nodes and weights on [-1, 1], made exactly symmetric
+#: about 0 so that mirrored panels get mirrored nodes bit for bit.
 _XG, _WG = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+_XG, _WG = 0.5 * (_XG - _XG[::-1]), 0.5 * (_WG + _WG[::-1])
 
 #: Panel width in units of sqrt(block width); 12-point panels spanning three
 #: standard deviations of the stepping kernel resolve it to machine precision.
@@ -196,7 +209,11 @@ def _nodes_weights(
     if k1 - k0 < floor:
         # too few cells to keep ``_MIN_NODES`` a floor: equal panels
         panels = max(2, floor, math.ceil((hi - lo) / h))
-        edges = _grade_edges(np.linspace(lo, hi, panels + 1), wall_lo, walled)
+        edges = np.linspace(lo, hi, panels + 1)
+        if corridor:
+            # linspace is not exactly antisymmetric about 0; the fold needs it
+            edges = 0.5 * (edges - edges[::-1])
+        edges = _grade_edges(edges, wall_lo, walled)
         return (*_panel_nodes(edges), None)
     k = np.arange(k0, k1, dtype=float)
     x = [((k[:, None] + 0.5) * h + (0.5 * h) * _XG).ravel()]
@@ -220,6 +237,18 @@ _CORRIDOR = (1.0, -1.0)
 def _mirrors(side: BoundarySide) -> tuple[float, ...]:
     """Signs s of the walls s*x = g of ``side``."""
     return (1.0,) if side is BoundarySide.UPPER_ONLY else _CORRIDOR
+
+
+def _fold(mirrors: tuple[float, ...], nodes: np.ndarray) -> int:
+    """Index of the first node the density and the crossing are computed at:
+    ``nodes.size // 2`` on the corridor when the nodes are mirrored pairs
+    -x, x (every window :func:`_nodes_weights` lays out is), so only x > 0
+    is computed and the even functions are mirrored; 0, nothing mirrored,
+    otherwise."""
+    if -1.0 not in mirrors or nodes.size % 2:
+        return 0
+    half = nodes.size // 2
+    return half if np.array_equal(nodes[half:], -nodes[:half][::-1]) else 0
 
 
 def _narrow(mirrors: tuple[float, ...], g0: float, g1: float, dt: float) -> bool:
@@ -551,7 +580,14 @@ def _step(
     if quad is None:
         return _empty_state(t1)
     x, w, cells = quad
-    vals = _propagate(x_in, mass_in, x, g0, g1, dt, mirrors, cells_in, cells)
+    half = _fold(mirrors, x)
+    cells_out = cells
+    if half and cells is not None:
+        # the corridor's cells run from -k to k - 1; those of x > 0 start at 0
+        cells_out = LatticeCells(cells.width, 0, cells.count // 2, 0)
+    vals = _propagate(x_in, mass_in, x[half:], g0, g1, dt, mirrors, cells_in, cells_out)
+    if half:
+        vals = np.concatenate([vals[::-1], vals])
     return SubDensity(time=t1, nodes=x, weights=w, values=vals, cells=cells)
 
 
@@ -598,12 +634,19 @@ def crossing_mass(
     g0 -> g1, given the absorbed state at the block start.
 
     Evaluated as a weighted sum of per-node crossing probabilities, which
-    keeps tiny masses accurate in relative terms.
+    keeps tiny masses accurate in relative terms.  On the corridor the
+    crossing probability is even, so it is evaluated at the nodes x > 0
+    only, against the mass folded onto them; a state whose nodes are not
+    mirrored pairs is summed over every node.
     """
     if state.nodes.size == 0:
         return 0.0
-    c = _crossing(state.nodes, g0, g1, dt, _mirrors(side))
-    value = float((state.weights * state.values) @ c)
+    mirrors = _mirrors(side)
+    half = _fold(mirrors, state.nodes)
+    mass = state.weights * state.values
+    if half:
+        mass = mass[half:] + mass[:half][::-1]
+    value = float(mass @ _crossing(state.nodes[half:], g0, g1, dt, mirrors))
     if value < -_SURVIVAL_SLACK:
         raise NumericalConsistencyError(f"negative block crossing probability {value:g}")
     return min(max(value, 0.0), state.survival)

@@ -26,6 +26,8 @@ from ifpt.forward import (
     _WIDE,
     _XG,
     _band_strip,
+    _crossing,
+    _narrow,
     _propagate,
     _regular,
     block_crossing_symmetric,
@@ -494,6 +496,71 @@ class TestLattice:
                 literal = np.exp(-np.square(x[:, None] - y[None, :]) / (2.0 * dt))
                 block = _TOEPLITZ[12 * (3 - o) : 12 * (4 - o)].T
                 assert np.max(np.abs(block - literal)) <= 4.0 * np.finfo(float).eps
+
+
+class TestCorridorFold:
+    """The corridor's density is even: each state is computed at x > 0 and
+    mirrored, and the crossing is summed against the mass folded onto x > 0.
+    States come from solved exp(1) corridors (equal panels up to n = 7, the
+    lattice with its walls from n = 8, a narrow first block at every level),
+    a wide constant corridor whose lattice windows no wall cuts, and a narrow
+    one where every block runs the both-walls remainder."""
+
+    @pytest.fixture(scope="class")
+    def corridors(self):
+        from ifpt import construct_boundary
+
+        side = BoundarySide.SYMMETRIC
+        solved = [construct_boundary(exponential_target(1.0), 1.0, n, side) for n in (3, 6, 8, 9)]
+        out = [(sol.boundary, sol.records) for sol in solved]
+        out += [(const_boundary(side, 6, value=v), None) for v in (10.0, 0.2)]
+        return [(b, records, list(subdensities(b))) for b, records in out]
+
+    def test_every_state_is_mirrored_bit_for_bit(self, corridors):
+        seen = dict.fromkeys(["first", "equal", "walled", "free", "narrow"], 0)
+        for b, _, states in corridors:
+            g, dt = b.knot_values, b.grid.block_width
+            h = 3.0 * math.sqrt(dt)
+            for m, s in enumerate(states, start=1):
+                assert np.array_equal(s.nodes, -s.nodes[::-1])
+                assert np.array_equal(s.weights, s.weights[::-1])
+                assert np.array_equal(s.values, s.values[::-1])
+                reach = math.ceil(_TRUNCATION_SIGMAS * math.sqrt(s.time) / h) * h
+                seen["first"] += m == 1
+                seen["equal"] += s.cells is None
+                seen["walled"] += s.cells is not None and g[m] <= reach
+                seen["free"] += s.cells is not None and g[m] > reach
+                seen["narrow"] += _narrow(CORRIDOR, g[m - 1], g[m], dt)
+        assert min(seen.values()) > 0, seen
+
+    def test_folded_crossing_matches_the_full_sum(self, corridors):
+        def full_sum(s, g0, g1, dt):
+            value = float((s.weights * s.values) @ _crossing(s.nodes, g0, g1, dt, CORRIDOR))
+            return min(max(value, 0.0), s.survival)
+
+        checked = 0
+        for b, records, states in corridors:
+            g, dt = b.knot_values, b.grid.block_width
+            for m, s in enumerate(states[:-1], start=1):
+                g0 = float(g[m])
+                # the solved end, a closing corridor and the bracket's slopes
+                ends = [float(g[m + 1]), -0.1]
+                if records is not None:
+                    r = records[m]
+                    ends += [g0 + r.bracket_lo * dt, g0 + r.bracket_hi * dt]
+                for g1 in ends:
+                    got = crossing_mass(s, g0, g1, dt, b.side)
+                    assert abs(got - full_sum(s, g0, g1, dt)) <= 1e-15 * got
+                    checked += 1
+        assert checked > 3000
+        # a state made outside the forward engine need not be mirrored; it
+        # is summed over all its nodes
+        lopsided = SubDensity(
+            time=0.5, nodes=np.array([-0.1, 0.2, 0.3, 0.5]), weights=np.full(4, 0.1),
+            values=np.ones(4),
+        )
+        got = crossing_mass(lopsided, 0.6, 0.55, 0.01, BoundarySide.SYMMETRIC)
+        assert got == full_sum(lopsided, 0.6, 0.55, 0.01) > 0.0
 
 
 class TestConsistencyGuards:
