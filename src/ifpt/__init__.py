@@ -51,6 +51,7 @@ from .montecarlo import (
     SimConfig,
     brute_force_block_check,
     ks_block_distance,
+    ks_threshold,
     simulate_hitting_times,
 )
 
@@ -82,6 +83,7 @@ __all__ = [
     "exponential_target",
     "fpt_distribution_table",
     "ks_block_distance",
+    "ks_threshold",
     "linear_boundary_cdf",
     "linear_fpt_density",
     "linear_transition_kernel",

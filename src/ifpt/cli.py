@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from .core import (
 )
 from .forward import fpt_distribution_table
 from .inverse import PROBABILITY_TOL, construct_boundary, refine
-from .montecarlo import SimConfig, ks_block_distance, simulate_hitting_times
+from .montecarlo import SimConfig, ks_block_distance, ks_threshold, simulate_hitting_times
 
 __all__ = ["main", "parse_target_spec"]
 
@@ -175,7 +174,7 @@ def run_verify(args) -> int:
     residuals = table.block_masses[1:] - targets
     emp = simulate_hitting_times(b, SimConfig(paths=args.paths, seed=args.seed))
     stat = ks_block_distance(emp, d)
-    threshold = max(0.005, 6.0 * math.sqrt(0.25 / args.paths))
+    threshold = ks_threshold(args.paths)
     print(f"quadrature block residuals: max |r| = {np.max(np.abs(residuals)):.3e}")
     print(f"monte carlo paths: {args.paths}  max block stderr: {np.max(emp.stderr):.3e}")
     print(f"K-S block statistic: {stat:.6f}  (threshold {threshold:.6f})")

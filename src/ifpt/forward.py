@@ -269,9 +269,12 @@ def block_crossing_upper(x, g0: float, g1: float, dt: float):
     return np.clip(ndtr((x - g1) / s) + np.exp(expo), 0.0, 1.0)
 
 
-def bridge_crossing_upper(x0, x1, g0: float, g1: float, dt: float):
-    """Crossing probability of the pinned bridge below one linear segment."""
-    return np.exp(-2.0 * (g0 - np.asarray(x0)) * (g1 - np.asarray(x1)) / dt)
+def bridge_crossing_upper(x0, x1, g0: float, g1: float, dt: float, out=None):
+    """Crossing probability of the pinned bridge below one linear segment,
+    exp(-2.0 * (g0 - x0) * (g1 - x1) / dt), written into ``out`` if given."""
+    e = np.multiply(-2.0, np.subtract(g0, x0, out=out), out=out)
+    e = np.multiply(e, np.subtract(g1, x1), out=out)
+    return np.exp(np.divide(e, dt, out=out), out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,14 @@ class TestSimulateCommand:
         assert code == 0
         assert (tmp_path / "empirical.csv").exists()
 
+    def test_non_integer_thread_count_exits_2(self, tmp_path, capsys, monkeypatch):
+        run("inverse", "--target", "exp:1", "--T", 1, "--n", 2, "--out", tmp_path)
+        monkeypatch.setenv("IFPT_THREADS", "two")
+        code = run("simulate", "--boundary", tmp_path / "boundary.csv", "--paths", 1000,
+                   "--out", tmp_path)
+        assert code == 2
+        assert "IFPT_THREADS" in capsys.readouterr().err
+
     def test_zero_paths_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc_info:
             run("simulate", "--boundary", tmp_path / "b.csv", "--paths", 0)

@@ -18,9 +18,11 @@ from ifpt import (
     construct_boundary,
     exponential_target,
     ks_block_distance,
+    ks_threshold,
     simulate_hitting_times,
     symmetric_linear_density,
 )
+from ifpt import montecarlo
 from ifpt.forward import bridge_crossing_symmetric, bridge_crossing_upper
 from ifpt.montecarlo import _SCREEN_SLACK, EmpiricalHittingDistribution, _simulate_chunk
 
@@ -90,6 +92,43 @@ class TestSimulate:
         assert lines[0] == "t_lo,t_hi,hits,frequency,stderr"
         assert lines[-1].startswith("survivors,")
 
+    def test_workers_capped_at_chunk_count(self, monkeypatch):
+        # a recorder stands in for the pool, so no thread is started
+        seen = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
+        b = const_boundary(BoundarySide.UPPER_ONLY, 2)
+        cfg = SimConfig(paths=150_000, seed=3)  # three chunks
+        serial = simulate_hitting_times(b, cfg)
+        assert seen == []
+        for threads, workers in [("2", 2), ("3", 3), ("1000000", 3)]:
+            monkeypatch.setenv("IFPT_THREADS", threads)
+            assert np.array_equal(simulate_hitting_times(b, cfg).hits, serial.hits)
+            assert seen[-1] == workers
+        monkeypatch.setenv("IFPT_THREADS", "1000000")
+        simulate_hitting_times(b, SimConfig(paths=1000, seed=3))  # one chunk: no pool
+        assert len(seen) == 3
+
+    @pytest.mark.parametrize("threads", ["two", "1.5", ""])
+    def test_non_integer_thread_count_is_rejected(self, monkeypatch, threads):
+        monkeypatch.setenv("IFPT_THREADS", threads)
+        b = const_boundary(BoundarySide.UPPER_ONLY, 1)
+        with pytest.raises(ValueError, match="IFPT_THREADS"):
+            simulate_hitting_times(b, SimConfig(paths=1000, seed=0))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(paths=0)
@@ -130,6 +169,18 @@ class TestKsBlockDistance:
             EmpiricalHittingDistribution(
                 times=times, hits=np.array([1, 2, 3, 4], dtype=np.int64), survivors=5, paths=100
             )
+
+
+class TestKsThreshold:
+    def test_criterion_tolerance_from_two_to_the_nineteen_paths(self):
+        assert ks_threshold(2**19) == 0.005
+        assert ks_threshold(2**24) == 0.005
+
+    def test_widens_below(self):
+        # 6 * sqrt(0.25 / n) passes 0.005 at n = 360 000
+        assert ks_threshold(350_000) > 0.005
+        assert ks_threshold(2**16) == pytest.approx(6.0 * math.sqrt(0.25 / 2**16))
+        assert ks_threshold(1000) > ks_threshold(2**16)
 
 
 class TestBruteForce:
@@ -225,6 +276,24 @@ def _upper_line():
     return PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, grid, 1.0 + 0.5 * grid.knots)
 
 
+def _upper_collapse():
+    # the wall falls from 1 to -50 over block 1, so every path still alive
+    # dies there and the chunk loop stops before the last step
+    grid = DyadicGrid(1.0, 3)
+    knots = np.full(grid.blocks + 1, -50.0)
+    knots[:2] = 1.0
+    return PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, grid, knots)
+
+
+def _pinched_corridor():
+    # half-width 1 pinched to 5e-4 (a corridor 1e-3 wide) at knot 3: the
+    # series runs against the pinch, no path passes it and the loop stops
+    grid = DyadicGrid(1.0, 3)
+    return PiecewiseLinearBoundary(
+        BoundarySide.SYMMETRIC, grid, np.where(np.arange(grid.blocks + 1) == 3, 5e-4, 1.0)
+    )
+
+
 class TestScreenedBridge:
     @pytest.mark.parametrize(
         "make, substeps",
@@ -234,8 +303,20 @@ class TestScreenedBridge:
             (_steep_corridor, 1),
             (_steep_corridor, 3),
             (_upper_line, 1),
+            (_upper_line, 3),
+            (_upper_collapse, 1),
+            (_pinched_corridor, 1),
         ],
-        ids=["constant", "solved-exp1-n5", "steep", "steep-substeps", "upper"],
+        ids=[
+            "constant",
+            "solved-exp1-n5",
+            "steep",
+            "steep-substeps",
+            "upper",
+            "upper-substeps",
+            "upper-collapse",
+            "pinched",
+        ],
     )
     def test_counts_equal_unscreened_loop(self, make, substeps):
         b = make()
@@ -245,6 +326,32 @@ class TestScreenedBridge:
             want = _unscreened_chunk(b, cfg, chunk_index, 20_000)
             assert got.sum() > 0
             assert np.array_equal(got, want), (seed, got - want)
+
+    def test_lower_wall_factor_is_the_mirrored_upper_one_bit_for_bit(self):
+        # the screen takes e_lo as the upper factor of the segment -g0 -> -g1,
+        # computed in place; both must equal the factor at -x0, -x1
+        rng = np.random.default_rng(11)
+        for g0, g1, dt in [(1.0, 1.0, 0.5), (0.3, 2.7, 1.0 / 64), (1e-3, 5.0, 1e-4)]:
+            x0 = rng.uniform(-g0, g0, 10_000)
+            x1 = rng.uniform(-g1, g1, 10_000)
+            want = bridge_crossing_upper(-x0, -x1, g0, g1, dt)
+            got = bridge_crossing_upper(x0, x1, -g0, -g1, dt, out=np.empty_like(x0))
+            assert np.array_equal(got, want)
+            assert np.array_equal(bridge_crossing_upper(x0, x1, g0, g1, dt, out=x0.copy()),
+                                  bridge_crossing_upper(x0, x1, g0, g1, dt))
+
+    def test_loop_carries_live_paths_and_stops_when_none_is_left(self, monkeypatch):
+        sizes = []
+        step = montecarlo._step_crossed
+
+        def recording_step(x0, *rest):
+            sizes.append(x0.size)
+            return step(x0, *rest)
+
+        monkeypatch.setattr(montecarlo, "_step_crossed", recording_step)
+        hits = _simulate_chunk(_upper_collapse(), SimConfig(paths=1), 0, 20_000)
+        assert hits[0] > 0 and hits[:2].sum() == 20_000
+        assert sizes == [20_000, 20_000 - hits[0]]
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
