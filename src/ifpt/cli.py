@@ -149,8 +149,9 @@ def run_inverse(args) -> int:
 
 
 def run_simulate(args) -> int:
+    cfg = SimConfig(paths=args.paths, substeps=args.substeps, seed=args.seed)
     b = read_boundary_csv(args.boundary)
-    emp = simulate_hitting_times(b, SimConfig(paths=args.paths, substeps=args.substeps, seed=args.seed))
+    emp = simulate_hitting_times(b, cfg)
     args.out.mkdir(parents=True, exist_ok=True)
     out = args.out / "empirical.csv"
     emp.write_csv(out)
@@ -160,6 +161,7 @@ def run_simulate(args) -> int:
 
 
 def run_verify(args) -> int:
+    cfg = SimConfig(paths=args.paths, seed=args.seed)
     b = read_boundary_csv(args.boundary)
     d = parse_target_spec(args.target)
     report = validate_target(d, b.grid.horizon)
@@ -172,7 +174,7 @@ def run_verify(args) -> int:
         [block_mass(d, knots[m], knots[m + 1]) for m in range(b.grid.blocks)]
     )
     residuals = table.block_masses[1:] - targets
-    emp = simulate_hitting_times(b, SimConfig(paths=args.paths, seed=args.seed))
+    emp = simulate_hitting_times(b, cfg)
     stat = ks_block_distance(emp, d)
     threshold = ks_threshold(args.paths)
     print(f"quadrature block residuals: max |r| = {np.max(np.abs(residuals)):.3e}")

@@ -1,18 +1,23 @@
 """Simulation oracle: bridge-corrected Monte Carlo hitting-time estimation
 and brute-force tensor quadrature for low block indices.
 
-Paths use counter-based pseudo-random streams (one Philox key per fixed-size
-chunk), so path i consumes the same draws no matter how chunks are scheduled
-and counts are reproducible bit for bit.  Every step draws a normal and then
-a uniform for every path of the chunk, live or not, so the stream is fixed.
-The chunk loop carries only the live paths, their positions and chunk
-indices in compacted arrays: it gathers the step's draws at those indices
-(not before the first path dies) and stops once no path is alive.  The draws
-are the floor of the cost: at 2**19 paths on a solved level-6 boundary they
-take about 1.0 s (two thirds of it the normals) of a simulate call of about
-1.7 s (upper) or 2.1 s (corridor).  The step test takes 0.2 s (upper) or
-0.6 s (corridor, the two factors and the screened series), and the gathers
-and compaction about 0.4 s.
+Each fixed-size chunk of paths owns one counter-based Philox stream (its key
+is the seed and the chunk index), so the counts do not depend on how chunks
+are scheduled over workers and are reproducible bit for bit.  The chunk loop
+carries only the live paths, their positions compacted in chunk order, and
+stops once none is left.  Each step draws one normal and then one uniform per
+live path and gives the k-th of each to the k-th live path; dead paths draw
+nothing.  The law of the counts is that of a fresh N(0, 1) and U(0, 1) per
+live path and step: how many paths live at step s depends only on the draws
+before it, and the draws of step s are independent of those.  Counts differ
+from those of the earlier layout, which drew for every path of the chunk and
+discarded the draws of dead ones; the first step draws the same numbers, so
+with one substep per block the block-1 counts are unchanged.  At 2**19 paths
+on a solved level-6 exp(1) boundary, on one CPU of a 2-core x86 box, a
+simulate call makes 21.4M draws of each kind (33.6M before) and takes about
+0.9 s (upper) or 1.4-1.7 s (corridor).  The
+draws alone take about 0.74 s, the step test 0.17 s (upper) or 0.6-0.8 s
+(corridor), and the compaction under 0.1 s.
 
 A path that stays inside the boundary over a step crosses it inside the step
 when its uniform ``u`` falls below the pinned-bridge crossing probability p
@@ -58,7 +63,8 @@ _SCREEN_SLACK = 1e-6
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Path count, per-block substeps and the stream seed.
+    """Path count, per-block substeps and the stream seed (one word of the
+    Philox key, so 0 <= seed < 2**64).
 
     One substep per block is exact on linear segments thanks to the bridge
     correction; more substeps only subdivide the same segments.
@@ -73,6 +79,8 @@ class SimConfig:
             raise ValueError("need at least one path")
         if self.substeps < 1:
             raise ValueError("need at least one substep per block")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -153,10 +161,11 @@ def _step_crossed(x0, x1, u, g0: float, g1: float, dt: float, symmetric: bool) -
 def _simulate_chunk(
     b: PiecewiseLinearBoundary, cfg: SimConfig, chunk_index: int, count: int
 ) -> np.ndarray:
-    """Hit counts per block for one chunk of paths (fixed draw pattern).
+    """Hit counts per block for one chunk of paths.
 
-    The loop carries the live paths only: ``x`` holds their positions and
-    ``live`` their indices in the chunk (None while no path has died)."""
+    The loop carries the live paths only, their positions ``x`` compacted in
+    chunk order, and stops once none is left.  Each step draws one normal and
+    then one uniform per live path from the chunk's Philox stream."""
     rng = np.random.Generator(
         np.random.Philox(key=np.array([cfg.seed, chunk_index], dtype=np.uint64))
     )
@@ -170,28 +179,21 @@ def _simulate_chunk(
 
     hits = np.zeros(blocks, dtype=np.int64)
     x = np.zeros(count)
-    live = None
     sqdt = math.sqrt(dt)
     for s in range(steps):
-        # draws are made for every path in the chunk, live or not, so the
-        # stream position never depends on simulated outcomes
-        x1 = rng.standard_normal(count)
-        if live is not None:
-            x1 = x1[live]
+        # the k-th draws of the step go to the k-th live path; how many are
+        # drawn depends only on earlier draws, so each is fresh and independent
+        x1 = rng.standard_normal(x.size)
         x1 *= sqdt
         x1 += x
-        u = rng.random(count)
-        if live is not None:
-            u = u[live]
+        u = rng.random(x.size)
         crossed = _step_crossed(x, x1, u, float(uppers[s]), float(uppers[s + 1]), dt, symmetric)
         dead = np.count_nonzero(crossed)
         if dead:
             hits[s // cfg.substeps] += dead
             if dead == x1.size:
                 break
-            keep = np.flatnonzero(~crossed)
-            live = keep if live is None else live[keep]
-            x1 = x1[keep]
+            x1 = x1[~crossed]
         x = x1
     return hits
 

@@ -155,6 +155,16 @@ class TestSimulateCommand:
         assert code == 2
         assert "IFPT_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_exits_2(self, tmp_path, capsys, seed):
+        run("inverse", "--target", "exp:1", "--T", 1, "--n", 2, "--out", tmp_path)
+        capsys.readouterr()
+        code = run("simulate", "--boundary", tmp_path / "boundary.csv", "--paths", 1000,
+                   "--seed", seed, "--out", tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+
     def test_zero_paths_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc_info:
             run("simulate", "--boundary", tmp_path / "b.csv", "--paths", 0)
@@ -167,6 +177,16 @@ class TestVerifyCommand:
         code = run("verify", "--boundary", tmp_path / "boundary.csv", "--target", "exp:1",
                    "--paths", 200000, "--seed", 12)
         assert code == 0
+
+    @pytest.mark.parametrize("seed", [-1, -3, 2**64])
+    def test_seed_out_of_range_exits_2(self, tmp_path, capsys, seed):
+        run("inverse", "--target", "exp:1", "--T", 1, "--n", 2, "--out", tmp_path)
+        capsys.readouterr()
+        code = run("verify", "--boundary", tmp_path / "boundary.csv", "--target", "exp:1",
+                   "--paths", 1000, "--seed", seed)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
 
     def test_wrong_boundary_fails(self, tmp_path):
         lines = ["t,upper,lower"] + [f"{m/4},5.0,-inf" for m in range(5)]

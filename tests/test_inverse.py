@@ -347,3 +347,25 @@ class TestSymmetricEndToEnd:
         sol = construct_boundary(d, 1.0, 5, SYM)
         emp = simulate_hitting_times(sol.boundary, SimConfig(paths=200_000, seed=17))
         assert ks_block_distance(emp, d) <= 3.0 * math.sqrt(0.25 / 200_000)
+
+
+class TestTabulatedKinksOffGrid:
+    @pytest.mark.parametrize("side", [UP, SYM])
+    def test_solve_forward_and_simulation_match_the_table(self, tmp_path, side):
+        # kinks at t = 0.3 and 0.71 fall inside level-6 blocks, and the table
+        # runs past the horizon
+        from ifpt import SimConfig, ks_block_distance, ks_threshold, read_target_csv
+        from ifpt import simulate_hitting_times
+
+        path = tmp_path / "density.csv"
+        path.write_text("t,f\n0,0.9\n0.3,0.5\n0.71,0.7\n1,0.2\n1.5,0.2\n")
+        d = read_target_csv(path)
+        sol = construct_boundary(d, 1.0, 6, side)
+        assert max(abs(r.residual) for r in sol.records) <= PROBABILITY_TOL
+        table = fpt_distribution_table(sol.boundary)
+        knots = sol.boundary.grid.knots
+        targets = np.array([block_mass(d, knots[m], knots[m + 1]) for m in range(64)])
+        # criterion 7's allowance
+        assert np.max(np.abs(table.block_masses[1:] - targets)) <= 2**4 * PROBABILITY_TOL + 1e-8
+        emp = simulate_hitting_times(sol.boundary, SimConfig(paths=2**17))
+        assert ks_block_distance(emp, d) <= ks_threshold(2**17)

@@ -134,6 +134,30 @@ class TestSimulate:
             SimConfig(paths=0)
         with pytest.raises(ValueError):
             SimConfig(paths=10, substeps=0)
+        # the seed is one uint64 word of the Philox key
+        for seed in (-1, -3, 2**64, 2**64 + 5):
+            with pytest.raises(ValueError, match="seed"):
+                SimConfig(paths=10, seed=seed)
+
+    def test_seed_range_ends_are_accepted(self):
+        b = const_boundary(BoundarySide.UPPER_ONLY, 1)
+        for seed in (0, 2**64 - 1):
+            emp = simulate_hitting_times(b, SimConfig(paths=100, seed=seed))
+            assert int(emp.hits.sum()) + emp.survivors == 100
+
+    @pytest.mark.parametrize(
+        "side, seed", [(BoundarySide.UPPER_ONLY, 13), (BoundarySide.SYMMETRIC, 14)]
+    )
+    def test_cdf_at_every_knot_matches_constant_boundary(self, side, seed):
+        # a draw handed to the wrong path after the first death would bias
+        # the blocks after it, which the final survivor count alone may miss
+        b = const_boundary(side, 4)
+        emp = simulate_hitting_times(b, SimConfig(paths=2**18, seed=seed))
+        t = emp.times[1:]
+        exact = constant_boundary_cdf(1.0, t, side)
+        se = np.sqrt(exact * (1.0 - exact) / emp.paths)
+        gap = np.abs(emp.cumulative[1:] - exact)
+        assert np.all(gap <= 5.0 * se), gap / se
 
 
 class TestKsBlockDistance:
@@ -228,7 +252,8 @@ class TestOracleTriangle:
 
 def _unscreened_chunk(b, cfg, chunk_index, count):
     """The chunk loop written out with the bridge factor evaluated on every
-    inside path: same Philox key and draw order as ``_simulate_chunk``."""
+    inside path: same Philox key and draw order as ``_simulate_chunk``, one
+    normal and then one uniform per live path, in chunk order."""
     rng = np.random.Generator(
         np.random.Philox(key=np.array([cfg.seed, chunk_index], dtype=np.uint64))
     )
@@ -240,19 +265,21 @@ def _unscreened_chunk(b, cfg, chunk_index, count):
     alive = np.ones(count, dtype=bool)
     hits = np.zeros(b.grid.blocks, dtype=np.int64)
     for s in range(steps):
-        z = rng.standard_normal(count)
-        u = rng.random(count)
-        g0, g1 = float(g[s]), float(g[s + 1])
         idx = np.flatnonzero(alive)
+        if idx.size == 0:
+            break
+        z = rng.standard_normal(idx.size)
+        u = rng.random(idx.size)
+        g0, g1 = float(g[s]), float(g[s + 1])
         x0 = x[idx]
-        x1 = x0 + math.sqrt(dt) * z[idx]
+        x1 = x0 + math.sqrt(dt) * z
         breach = (x1 >= g1) | (x1 <= -g1) if symmetric else x1 >= g1
         inside = ~breach
         p = np.zeros(idx.size)
         if inside.any():
             bridge = bridge_crossing_symmetric if symmetric else bridge_crossing_upper
             p[inside] = bridge(x0[inside], x1[inside], g0, g1, dt)
-        crossed = breach | (u[idx] < p)
+        crossed = breach | (u < p)
         hits[s // cfg.substeps] += np.count_nonzero(crossed)
         alive[idx[crossed]] = False
         x[idx[~crossed]] = x1[~crossed]
@@ -344,14 +371,16 @@ class TestScreenedBridge:
         sizes = []
         step = montecarlo._step_crossed
 
-        def recording_step(x0, *rest):
-            sizes.append(x0.size)
-            return step(x0, *rest)
+        def recording_step(x0, x1, u, *rest):
+            sizes.append((x0.size, x1.size, u.size))
+            return step(x0, x1, u, *rest)
 
         monkeypatch.setattr(montecarlo, "_step_crossed", recording_step)
         hits = _simulate_chunk(_upper_collapse(), SimConfig(paths=1), 0, 20_000)
         assert hits[0] > 0 and hits[:2].sum() == 20_000
-        assert sizes == [20_000, 20_000 - hits[0]]
+        # one normal and one uniform per live path, none for the dead
+        assert [n for n, _, _ in sizes] == [20_000, 20_000 - hits[0]]
+        assert all(n == m == k for n, m, k in sizes)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
