@@ -287,9 +287,11 @@ def tabulated_target(ts, fs) -> TargetDistribution:
 
 @dataclass(frozen=True)
 class TargetValidationReport:
-    """Outcome of the admissibility checks on a target distribution."""
+    """Outcome of the admissibility checks on a target distribution, and the
+    smallest density value sampled on (0, horizon]."""
 
     violations: tuple[str, ...]
+    density_floor: float
 
     @property
     def ok(self) -> bool:
@@ -363,7 +365,7 @@ def validate_target(
             f"cdf at horizon is {FT:.9g}; positive survival mass must remain "
             f"(need <= {1.0 - SURVIVAL_MASS_EPSILON})"
         )
-    return TargetValidationReport(tuple(violations))
+    return TargetValidationReport(tuple(violations), float(fvals[1:].min()))
 
 
 @dataclass(frozen=True)
@@ -385,8 +387,9 @@ class SubDensity:
 
     Nodes are spatial quadrature abscissae strictly inside the alive region,
     in increasing order; the weighted sum of values is the survival
-    probability.  ``cells`` names the nodes that fill whole lattice cells
-    (None: no such run).
+    probability.  ``cells`` names the nodes that fill whole lattice cells;
+    the forward engine sets it for every non-empty window (``count`` may be
+    0), and it is None on an empty state or one made outside the engine.
 
     On the symmetric corridor every state the forward engine makes is even,
     bit for bit: ``nodes == -nodes[::-1]``, ``weights == weights[::-1]`` and

@@ -49,30 +49,29 @@ lattice fixed for the whole solve: cells [k*h, (k+1)*h) of width
 h = 3*sqrt(dt), anchored at 0, each holding the 12 Gauss-Legendre nodes
 (k + 1/2)*h + h*xi_p/2.  The window's far ends are rounded out to lattice
 lines, so only a cell cut by a wall is not full; it is graded toward the
-wall, and a piece narrower than h/4 joins its neighbour cell.  A full cell
-is regular when every wall of its knot is at least 2 cells (6 standard
-deviations) away.  Between a regular input cell (walls at g0) and a regular
-output cell (walls at g1) each one-wall exponent -2(g1 - s*x)(g0 - s*y)/dt
-is at most -2*6*6 = -72, so the wall factor is 1 within exp(-72), below
-half an ulp of 1; and the corridor's remainder never arises there, since
-both walls are then at least 7.5 standard deviations out, 2*m**2/dt >= 112
-> ``_WIDE``.  So the kernel between regular cells is the free Gaussian, which
-depends only on how many cells apart they are: for offsets o = -3..3, which
-cover the 9-sigma band, it is the 12 x 12 block
+wall, and a piece narrower than h/4 joins its neighbour cell while there is
+one (a corridor with g < 5h/4 has none: its window is the two wall pieces).
+A full cell is regular when every wall of its knot is at least 2 cells
+(6 standard deviations) away.  Between a regular input cell (walls at g0)
+and a regular output cell (walls at g1) each one-wall exponent
+-2(g1 - s*x)(g0 - s*y)/dt is at most -2*6*6 = -72, so the wall factor is 1
+within exp(-72), below half an ulp of 1; and the corridor's remainder never
+arises there, since both walls are then at least 7.5 standard deviations
+out, 2*m**2/dt >= 112 > ``_WIDE``.  So the kernel between regular cells is
+the free Gaussian, which depends only on how many cells apart they are: for
+offsets o = -3..3, which cover the 9-sigma band, it is the 12 x 12 block
 K_o[p, q] = exp(-(3*o + 1.5*(xi_p - xi_q))**2 / 2), the same for every dt
 (Greengard & Strain's fast Gauss transform uses this translation
 invariance).  Every other entry, from or to an irregular cell, is evaluated
-on the band as above.  A window holding fewer than ``_MIN_NODES``/12 full
-cells keeps equal panels and has no regular cells, so ``_MIN_NODES`` stays a
-floor on the node count; such blocks, the first knot's point mass and narrow
-corridors take the band alone.
+on the band as above.  Windows without regular cells (the first blocks,
+narrow corridors) and the first knot's point mass take the band alone.
 
 The corridor's density is even.  It starts from a point mass at 0 and the
 walls -g, g are symmetric under x -> -x, so the absorbed density is even at
-every knot.  Every corridor window is laid out as mirrored pairs of nodes
--x, x, bit for bit: the lattice is anchored at 0, the panel rule is made
-exactly symmetric, the graded wall pieces mirror each other and the equal
-panels' edges are made exactly antisymmetric.  So a step computes only the
+every knot.  Every corridor window is mirrored from its upper half, bit for
+bit: the lattice is anchored at 0 and the panel rule is made exactly
+symmetric, so the full cells come in mirrored pairs -x, x, and the lower
+wall piece is the upper one negated.  So a step computes only the
 outputs x > 0 and mirrors them, and the block crossing, an even function of
 the start, is evaluated at x > 0 against the mass folded onto them
 (:func:`_fold`).  This halves the propagation and the crossing; the states
@@ -151,23 +150,8 @@ _IMAGE_MAX = 256
 #: bulk: the window holds all but about Phi(-8) of the absorbed mass.
 _TRUNCATION_SIGMAS = 8.0
 
-#: Node floor of a window: one with fewer than _MIN_NODES/12 full lattice
-#: cells is laid out in equal panels holding at least _MIN_NODES nodes.
-_MIN_NODES = 96
-
 #: Slack allowed on the survival-monotonicity consistency check.
 _SURVIVAL_SLACK = 1e-9
-
-
-def _grade_edges(edges: np.ndarray, at_start: bool, at_end: bool) -> np.ndarray:
-    # split the panel touching an absorbing boundary into shrinking subpanels
-    if at_start:
-        a, b = edges[0], edges[1]
-        edges = np.concatenate([[a, a + (b - a) / 6.0, a + (b - a) / 2.0], edges[1:]])
-    if at_end:
-        a, b = edges[-2], edges[-1]
-        edges = np.concatenate([edges[:-1], [b - (b - a) / 2.0, b - (b - a) / 6.0, b]])
-    return edges
 
 
 def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +163,7 @@ def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _nodes_weights(
     mirrors: tuple[float, ...], g: float, t: float, dt: float
-) -> tuple[np.ndarray, np.ndarray, LatticeCells | None] | None:
+) -> tuple[np.ndarray, np.ndarray, LatticeCells] | None:
     """Quadrature of the spatial window at time ``t`` with wall value ``g``,
     and the run of full lattice cells among its panels (module docstring);
     None if the window is empty.
@@ -191,43 +175,28 @@ def _nodes_weights(
     """
     h = _PANEL_SIGMAS * math.sqrt(dt)
     reach = math.ceil(_TRUNCATION_SIGMAS * math.sqrt(t) / h)
-    walled = g <= reach * h
-    hi = g if walled else reach * h
     corridor = -1.0 in mirrors
-    lo = -hi if corridor else -reach * h
-    if not hi > lo:
+    if not g > (0.0 if corridor else -reach * h):
         return None
-    wall_lo = corridor and walled
-    # full cells k0..k1-1; a wall piece narrower than h/4 joins its neighbour
-    k0 = math.ceil(lo / h) if wall_lo else -reach
-    k1 = math.floor(hi / h) if walled else reach
-    if wall_lo and k0 * h - lo < 0.25 * h:
-        k0 += 1
-    if walled and hi - k1 * h < 0.25 * h:
+    walled = g <= reach * h
+    # full cells k0..k1-1; a wall piece narrower than h/4 joins its
+    # neighbour cell while there is one
+    k1 = math.floor(g / h) if walled else reach
+    if walled and g - k1 * h < 0.25 * h and k1 > (0 if corridor else -reach):
         k1 -= 1
-    floor = math.ceil(_MIN_NODES / _PANEL_ORDER)
-    if k1 - k0 < floor:
-        # too few cells to keep ``_MIN_NODES`` a floor: equal panels
-        panels = max(2, floor, math.ceil((hi - lo) / h))
-        edges = np.linspace(lo, hi, panels + 1)
-        if corridor:
-            # linspace is not exactly antisymmetric about 0; the fold needs it
-            edges = 0.5 * (edges - edges[::-1])
-        edges = _grade_edges(edges, wall_lo, walled)
-        return (*_panel_nodes(edges), None)
+    k0 = -k1 if corridor else -reach
     k = np.arange(k0, k1, dtype=float)
-    x = [((k[:, None] + 0.5) * h + (0.5 * h) * _XG).ravel()]
-    w = [np.tile((0.5 * h) * _WG, k1 - k0)]
-    if wall_lo:
-        lx, lw = _panel_nodes(_grade_edges(np.array([lo, k0 * h]), True, False))
-        x.insert(0, lx)
-        w.insert(0, lw)
-    if walled:
-        hx, hw = _panel_nodes(_grade_edges(np.array([k1 * h, hi]), False, True))
-        x.append(hx)
-        w.append(hw)
-    first = x[0].size if wall_lo else 0
-    return np.concatenate(x), np.concatenate(w), LatticeCells(h, k0, k1 - k0, first)
+    x = ((k[:, None] + 0.5) * h + (0.5 * h) * _XG).ravel()
+    w = np.tile((0.5 * h) * _WG, k1 - k0)
+    if not walled:
+        return x, w, LatticeCells(h, k0, k1 - k0, 0)
+    # the wall piece [k1*h, g], graded toward the wall; the corridor's lower
+    # piece is it mirrored, bit for bit
+    a = k1 * h
+    px, pw = _panel_nodes(np.array([a, g - (g - a) / 2.0, g - (g - a) / 6.0, g]))
+    lx, lw = (-px[::-1], pw[::-1]) if corridor else (np.empty(0), np.empty(0))
+    cells = LatticeCells(h, k0, k1 - k0, lx.size)
+    return np.concatenate([lx, x, px]), np.concatenate([lw, w, pw]), cells
 
 
 #: Wall signs of the corridor: the upper wall x = g and its mirror x = -g.
@@ -585,7 +554,7 @@ def _step(
     x, w, cells = quad
     half = _fold(mirrors, x)
     cells_out = cells
-    if half and cells is not None:
+    if half:
         # the corridor's cells run from -k to k - 1; those of x > 0 start at 0
         cells_out = LatticeCells(cells.width, 0, cells.count // 2, 0)
     vals = _propagate(x_in, mass_in, x[half:], g0, g1, dt, mirrors, cells_in, cells_out)

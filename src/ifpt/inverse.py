@@ -32,6 +32,7 @@ from .core import (
     DyadicGrid,
     InfeasibleTargetError,
     MAX_LEVEL,
+    NumericalConsistencyError,
     PiecewiseLinearBoundary,
     SubDensity,
     TargetDistribution,
@@ -310,6 +311,16 @@ class InverseSolution:
         }
 
 
+def _underflow(block: int, level: int) -> NumericalConsistencyError:
+    """Block ``block``'s target mass is exactly 0 although the target's
+    sampled density is positive and normal: float64 underflow, not an
+    infeasible target."""
+    return NumericalConsistencyError(
+        f"block {block} target mass underflows to 0 at level {level}: "
+        "the target density is strictly positive, its mass is below float64 range"
+    )
+
+
 def construct_boundary(
     d: TargetDistribution,
     horizon: float,
@@ -321,17 +332,27 @@ def construct_boundary(
 
     The grid is checked first, then the target, so a bad level fails before
     any target sampling.  Any failing block aborts the run with the records
-    solved so far attached to the raised error.
+    solved so far attached to the raised error.  A block whose target mass
+    underflows to 0 raises :class:`NumericalConsistencyError`
+    (:func:`_underflow`).
     """
     grid = DyadicGrid(horizon, level)
     report = validate_target(d, horizon)
     if not report.ok:
         raise ValidationError(str(report))
+    # a zero block mass is underflow only if the sampled density is a normal
+    # float64; a target whose own density is subnormal stays infeasible
+    certified = report.density_floor >= np.finfo(float).tiny
     dt = grid.block_width
     knots = np.empty(grid.blocks + 1)
     records: list[BlockSolveRecord] = []
 
-    alpha0, rec = solve_first_block(d, grid, side)
+    try:
+        alpha0, rec = solve_first_block(d, grid, side)
+    except InfeasibleTargetError as exc:
+        if certified and block_mass(d, 0.0, grid.knot(1)) == 0.0:
+            raise _underflow(0, level) from exc
+        raise
     records.append(rec)
     knots[0] = knots[1] = alpha0
     state = initial_subdensity(alpha0, alpha0, dt, side)
@@ -346,9 +367,10 @@ def construct_boundary(
                 state, d, m, side, boundary_value=float(knots[m]), dt=dt,
                 guess=guess, step=step,
             )
-        except (InfeasibleTargetError, ConvergenceError) as exc:
-            if isinstance(exc, InfeasibleTargetError):
-                exc.records = list(records)
+        except InfeasibleTargetError as exc:
+            if certified and block_mass(d, state.time, state.time + dt) == 0.0:
+                raise _underflow(m, level) from exc
+            exc.records = list(records)
             raise
         records.append(rec)
         step = max(2.0 * abs(slope - (guess or 0.0)), _STEP_FLOOR)

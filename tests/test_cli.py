@@ -87,6 +87,15 @@ class TestInverseCommand:
         assert run("inverse", "--target", target, "--T", 1, "--n", 10,
                    "--out", tmp_path) == 4
 
+    def test_underflowing_target_mass_exits_3(self, tmp_path, capsys, monkeypatch, line_target):
+        # the first-block mass of this feasible target underflows at n = 11
+        import ifpt.cli as cli
+
+        monkeypatch.setattr(cli, "parse_target_spec", lambda spec: line_target(0.5, 1.0))
+        args = ("inverse", "--target", "line", "--T", 1, "--n", 11, "--side", "upper")
+        assert run(*args, "--out", tmp_path / "out") == 3
+        assert "block 0 target mass underflows to 0 at level 11" in capsys.readouterr().err
+
     def test_uniform_target_solves(self, tmp_path):
         assert run("inverse", "--target", "uniform:0,2", "--T", 1, "--n", 3,
                    "--side", "symmetric", "--out", tmp_path) == 0

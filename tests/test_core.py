@@ -106,6 +106,8 @@ class TestTargets:
         report = validate_target(d, 1.0)
         assert report.ok, str(report)
         assert d.cdf_at(1.0) == pytest.approx(1.0 - np.exp(-1.0), abs=1e-15)
+        # the smallest sampled density on (0, 1] is the one at the horizon
+        assert report.density_floor == pytest.approx(np.exp(-1.0), rel=1e-15)
 
     def test_block_mass_matches_cdf_difference(self):
         d = exponential_target(0.7)

@@ -20,7 +20,6 @@ from ifpt import (
 )
 from ifpt.core import ConvergenceError, NumericalConsistencyError
 from ifpt.forward import (
-    _MIN_NODES,
     _TOEPLITZ,
     _TRUNCATION_SIGMAS,
     _WIDE,
@@ -39,6 +38,7 @@ from ifpt.forward import (
 
 UPPER = (1.0,)
 CORRIDOR = (1.0, -1.0)
+SIDES = [BoundarySide.UPPER_ONLY, BoundarySide.SYMMETRIC]
 
 
 def const_boundary(side, level, value=1.0, horizon=1.0):
@@ -168,6 +168,16 @@ class TestFptTable:
         table = fpt_distribution_table(b)
         assert table.cdf[-1] == pytest.approx(2.0 * ndtr(-1.0), abs=1e-10)
         assert table.cdf[0] == 0.0
+
+    @pytest.mark.parametrize("side", SIDES, ids=["upper", "symmetric"])
+    @pytest.mark.parametrize("level", [2, 4, 8])
+    @pytest.mark.parametrize("g", [0.05, 0.2, 1.0, 2.0])
+    def test_constant_boundary_cdf_at_every_knot(self, g, level, side):
+        # g = 0.05 and 0.2 leave the corridor no full cell at these levels
+        b = const_boundary(side, level, value=g)
+        got = fpt_distribution_table(b).cdf
+        expect = constant_boundary_cdf(g, b.grid.knots, side)
+        assert np.max(np.abs(got - expect)) <= 1e-13
 
     def test_far_boundary_all_zero(self):
         b = const_boundary(BoundarySide.UPPER_ONLY, 2, value=1e6)
@@ -396,9 +406,6 @@ def _states(side, level=8):
     return sol.boundary, list(subdensities(sol.boundary))
 
 
-SIDES = [BoundarySide.UPPER_ONLY, BoundarySide.SYMMETRIC]
-
-
 class TestLattice:
     """Node layout of the lattice-anchored panels on solved n = 8 boundaries."""
 
@@ -410,7 +417,7 @@ class TestLattice:
         _, states = solved
         shared = 0
         for a, b in zip(states, states[1:]):
-            if a.cells is None or b.cells is None:
+            if min(a.cells.count, b.cells.count) == 0:
                 continue
             lo = max(a.cells.first_cell, b.cells.first_cell)
             hi = min(a.cells.first_cell + a.cells.count, b.cells.first_cell + b.cells.count)
@@ -454,30 +461,44 @@ class TestLattice:
             lo = -hi if b.side is BoundarySide.SYMMETRIC else -reach
             assert abs(float(s.weights.sum()) - (hi - lo)) <= 1e-12
             assert lo < s.nodes[0] and s.nodes[-1] < hi
-            if s.cells is not None and hi < reach:
-                # the piece the wall cuts is between h/4 and 5h/4 wide
+            if hi < reach:
+                # the piece the wall cuts is between h/4 and 5h/4 wide; on a
+                # corridor with no full cell it is all of [0, g]
                 piece = hi - (s.cells.first_cell + s.cells.count) * h
-                assert h / 4.0 <= piece < 1.25 * h
+                assert 0.0 < piece < 1.25 * h
+                no_cell = b.side is BoundarySide.SYMMETRIC and s.cells.count == 0
+                assert no_cell or piece >= h / 4.0
 
     @pytest.mark.parametrize("side", SIDES, ids=["upper", "symmetric"])
-    @pytest.mark.parametrize("min_nodes", [_MIN_NODES])
-    def test_narrow_window_keeps_equal_panels(self, side, min_nodes):
-        # the first knot at n = 8 has a window of 6 cells (9 standard
-        # deviations either side); a floor of 96 nodes needs 8
+    def test_narrow_window_is_on_the_lattice(self, side):
+        # the first knot at n = 8 has a window of 6 full cells, 9 standard
+        # deviations either side, below a wall 5.3 cells out
         dt = 2.0**-8
+        h = 3.0 * math.sqrt(dt)
         point = SubDensity(time=0.0, nodes=np.zeros(1), weights=np.ones(1), values=np.ones(1))
         first = propagated_subdensity(point, 1.0, 1.0, dt, side)
-        assert first.cells is None
-        assert first.nodes.size >= min_nodes
-        # every panel but the three graded at each wall has the same width
-        widths = first.weights.reshape(-1, 12).sum(axis=1)
-        equal = widths[3:-3] if side is BoundarySide.SYMMETRIC else widths[:-3]
-        assert np.ptp(equal) <= 1e-12
+        assert (first.cells.first_cell, first.cells.count) == (-3, 6)
+        assert first.nodes.size == 72
+        assert abs(float(first.weights.sum()) - 6.0 * h) <= 1e-12
         # at t = 1 the window holds 48 full cells above, 10 on the corridor
         point = SubDensity(time=1.0 - dt, nodes=np.zeros(1), weights=np.ones(1), values=np.ones(1))
         wide = propagated_subdensity(point, 1.0, 1.0, dt, side)
-        assert wide.nodes.size >= min_nodes
-        assert wide.cells is not None
+        assert wide.cells.count == (48 if side is BoundarySide.UPPER_ONLY else 10)
+
+    @pytest.mark.parametrize("g", [0.04, 0.2])
+    def test_corridor_without_full_cells(self, g):
+        # h = 0.1875 at n = 8: below h/4 no cell fits, and below 5h/4 the
+        # piece next to the wall would be narrower than h/4, so the window
+        # is the two graded pieces [-g, 0] and [0, g]
+        dt = 2.0**-8
+        point = SubDensity(time=0.0, nodes=np.zeros(1), weights=np.ones(1), values=np.ones(1))
+        s = propagated_subdensity(point, g, g, dt, BoundarySide.SYMMETRIC)
+        assert s.cells.count == 0 and s.cells.first_node == 36
+        assert s.nodes.size == 72
+        assert np.array_equal(s.nodes, -s.nodes[::-1])
+        assert np.array_equal(s.weights, s.weights[::-1])
+        assert -g < s.nodes[0] and s.nodes[35] < 0.0 < s.nodes[36] and s.nodes[-1] < g
+        assert abs(float(s.weights.sum()) - 2.0 * g) <= 1e-15
 
     @pytest.mark.parametrize("level", [7, 8, 12])
     def test_toeplitz_blocks_are_the_gaussian_on_lattice_nodes(self, level):
@@ -501,8 +522,9 @@ class TestLattice:
 class TestCorridorFold:
     """The corridor's density is even: each state is computed at x > 0 and
     mirrored, and the crossing is summed against the mass folded onto x > 0.
-    States come from solved exp(1) corridors (equal panels up to n = 7, the
-    lattice with its walls from n = 8, a narrow first block at every level),
+    States come from solved exp(1) corridors (no full cell at n = 3 or at
+    any level's first knot, the lattice with its walls at the other knots, a
+    narrow first block at every level),
     a wide constant corridor whose lattice windows no wall cuts, and a narrow
     one where every block runs the both-walls remainder."""
 
@@ -517,7 +539,7 @@ class TestCorridorFold:
         return [(b, records, list(subdensities(b))) for b, records in out]
 
     def test_every_state_is_mirrored_bit_for_bit(self, corridors):
-        seen = dict.fromkeys(["first", "equal", "walled", "free", "narrow"], 0)
+        seen = dict.fromkeys(["first", "no full cell", "walled", "free", "narrow"], 0)
         for b, _, states in corridors:
             g, dt = b.knot_values, b.grid.block_width
             h = 3.0 * math.sqrt(dt)
@@ -527,9 +549,9 @@ class TestCorridorFold:
                 assert np.array_equal(s.values, s.values[::-1])
                 reach = math.ceil(_TRUNCATION_SIGMAS * math.sqrt(s.time) / h) * h
                 seen["first"] += m == 1
-                seen["equal"] += s.cells is None
-                seen["walled"] += s.cells is not None and g[m] <= reach
-                seen["free"] += s.cells is not None and g[m] > reach
+                seen["no full cell"] += s.cells.count == 0
+                seen["walled"] += s.cells.count > 0 and g[m] <= reach
+                seen["free"] += s.cells.count > 0 and g[m] > reach
                 seen["narrow"] += _narrow(CORRIDOR, g[m - 1], g[m], dt)
         assert min(seen.values()) > 0, seen
 

@@ -22,7 +22,7 @@ from ifpt import (
 )
 import ifpt.forward as fwd
 import ifpt.inverse as inv
-from ifpt.core import MAX_LEVEL, SURVIVAL_MASS_EPSILON
+from ifpt.core import MAX_LEVEL, NumericalConsistencyError, SURVIVAL_MASS_EPSILON
 from ifpt.forward import crossing_mass, fpt_distribution_table, initial_subdensity
 from ifpt.inverse import PROBABILITY_TOL
 
@@ -240,6 +240,25 @@ class TestConstructBoundary:
     def test_validation_gate(self):
         with pytest.raises(ValidationError):
             construct_boundary(uniform_target(0.0, 0.5), 1.0, 2, UP)
+
+    def test_underflowing_first_mass_is_numerical(self, line_target):
+        # a feasible target whose first-block mass underflows float64 at
+        # n = 11 while block 1's is 6.6e-225 and n = 10 has a positive one
+        d = line_target(0.5, 1.0)
+        assert block_mass(d, 0.0, 2.0**-11) == 0.0 < block_mass(d, 2.0**-11, 2.0**-10)
+        assert block_mass(d, 0.0, 2.0**-10) > 0.0
+        with pytest.raises(NumericalConsistencyError, match="block 0 .*underflows.* level 11"):
+            construct_boundary(d, 1.0, 11, UP)
+
+    def test_underflowing_block_mass_is_numerical(self, monkeypatch):
+        real = inv.block_mass
+
+        def underflow(target, t0, t1):
+            return 0.0 if math.isclose(t0, 0.5) else real(target, t0, t1)
+
+        monkeypatch.setattr(inv, "block_mass", underflow)
+        with pytest.raises(NumericalConsistencyError, match="block 2 .*underflows.* level 2"):
+            construct_boundary(exponential_target(1.0), 1.0, 2, UP)
 
 
 class TestRefine:
