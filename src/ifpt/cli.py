@@ -98,7 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--boundary", type=Path, required=True)
     sp.add_argument("--paths", type=_positive_int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--substeps", type=_positive_int, default=1)
     add_common(sp)
 
     sp = sub.add_parser("verify", help="cross-check a boundary/target pair")
@@ -149,7 +148,7 @@ def run_inverse(args) -> int:
 
 
 def run_simulate(args) -> int:
-    cfg = SimConfig(paths=args.paths, substeps=args.substeps, seed=args.seed)
+    cfg = SimConfig(paths=args.paths, seed=args.seed)
     b = read_boundary_csv(args.boundary)
     emp = simulate_hitting_times(b, cfg)
     args.out.mkdir(parents=True, exist_ok=True)

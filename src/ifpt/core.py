@@ -50,6 +50,9 @@ SURVIVAL_MASS_EPSILON = 1e-6
 #: Serialization format preserving full double round-trip precision.
 FLOAT_FMT = "%.17g"
 
+#: Equal intervals of [0, T] on which :func:`validate_target` samples a target.
+_SAMPLE_INTERVALS = 512
+
 
 class ValidationError(ValueError):
     """A target distribution failed its admissibility checks."""
@@ -303,20 +306,18 @@ class TargetValidationReport:
         return "target distribution violations:\n  " + "\n  ".join(self.violations)
 
 
-def validate_target(
-    d: TargetDistribution, horizon: float, sample_count: int = 512
-) -> TargetValidationReport:
+def validate_target(d: TargetDistribution, horizon: float) -> TargetValidationReport:
     """Check positivity, bounds, CDF consistency and the survival-mass guard.
 
+    The sample grid is fixed: the ends of ``_SAMPLE_INTERVALS`` (512) equal
+    intervals of [0, horizon] plus the target's breakpoints inside it.
     Returns a report listing every violated invariant with the offending
     sample point; an empty report means all checks passed on the sample
     grid.  Non-finite density values raise immediately.
     """
-    if sample_count < 2:
-        raise ValueError("sample_count must be at least 2")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    ts = np.linspace(0.0, horizon, sample_count + 1)
+    ts = np.linspace(0.0, horizon, _SAMPLE_INTERVALS + 1)
     if d.breakpoints is not None:
         inner = d.breakpoints[(d.breakpoints > 0.0) & (d.breakpoints < horizon)]
         ts = np.unique(np.concatenate([ts, inner]))

@@ -68,14 +68,15 @@ narrow corridors) and the first knot's point mass take the band alone.
 
 The corridor's density is even.  It starts from a point mass at 0 and the
 walls -g, g are symmetric under x -> -x, so the absorbed density is even at
-every knot.  Every corridor window is mirrored from its upper half, bit for
-bit: the lattice is anchored at 0 and the panel rule is made exactly
-symmetric, so the full cells come in mirrored pairs -x, x, and the lower
-wall piece is the upper one negated.  So a step computes only the
-outputs x > 0 and mirrors them, and the block crossing, an even function of
-the start, is evaluated at x > 0 against the mass folded onto them
-(:func:`_fold`).  This halves the propagation and the crossing; the states
-keep the full node set.
+every knot.  So a corridor step lays out only the window's half x > 0, its
+cells from 0 on and the upper wall piece, propagates onto it, and mirrors
+nodes, weights and values once.  The lattice is anchored at 0 and the panel
+rule is made exactly symmetric, so the mirrored cells are the lattice cells
+below 0 bit for bit, and the lower wall piece is the upper one negated.  The
+block crossing, an even function of the start, is evaluated at x > 0
+against the mass folded onto them (:func:`_fold`, which checks the mirror
+pairs, so a state made outside the engine is summed over every node).  This
+halves the propagation and the crossing; the states keep the full node set.
 
 Per-block crossing probabilities from a fixed state have closed forms, so
 slope candidates during root finding cost O(nodes) while the full
@@ -162,11 +163,13 @@ def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nodes_weights(
-    mirrors: tuple[float, ...], g: float, t: float, dt: float
+    corridor: bool, g: float, t: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray, LatticeCells] | None:
     """Quadrature of the spatial window at time ``t`` with wall value ``g``,
     and the run of full lattice cells among its panels (module docstring);
-    None if the window is empty.
+    None if the window is empty.  On the corridor only its half x > 0 is
+    laid out, the cells from 0 on and the wall piece; the other half is its
+    mirror image.
 
     The window carries all but ~Phi(-8) of the absorbed mass: it reaches
     ``_TRUNCATION_SIGMAS`` standard deviations of the diffusion bulk, rounded
@@ -175,7 +178,6 @@ def _nodes_weights(
     """
     h = _PANEL_SIGMAS * math.sqrt(dt)
     reach = math.ceil(_TRUNCATION_SIGMAS * math.sqrt(t) / h)
-    corridor = -1.0 in mirrors
     if not g > (0.0 if corridor else -reach * h):
         return None
     walled = g <= reach * h
@@ -184,19 +186,17 @@ def _nodes_weights(
     k1 = math.floor(g / h) if walled else reach
     if walled and g - k1 * h < 0.25 * h and k1 > (0 if corridor else -reach):
         k1 -= 1
-    k0 = -k1 if corridor else -reach
+    k0 = 0 if corridor else -reach
     k = np.arange(k0, k1, dtype=float)
     x = ((k[:, None] + 0.5) * h + (0.5 * h) * _XG).ravel()
     w = np.tile((0.5 * h) * _WG, k1 - k0)
+    cells = LatticeCells(h, k0, k1 - k0, 0)
     if not walled:
-        return x, w, LatticeCells(h, k0, k1 - k0, 0)
-    # the wall piece [k1*h, g], graded toward the wall; the corridor's lower
-    # piece is it mirrored, bit for bit
+        return x, w, cells
+    # the wall piece [k1*h, g], graded toward the wall
     a = k1 * h
     px, pw = _panel_nodes(np.array([a, g - (g - a) / 2.0, g - (g - a) / 6.0, g]))
-    lx, lw = (-px[::-1], pw[::-1]) if corridor else (np.empty(0), np.empty(0))
-    cells = LatticeCells(h, k0, k1 - k0, lx.size)
-    return np.concatenate([lx, x, px]), np.concatenate([lw, w, pw]), cells
+    return np.concatenate([x, px]), np.concatenate([w, pw]), cells
 
 
 #: Wall signs of the corridor: the upper wall x = g and its mirror x = -g.
@@ -209,11 +209,11 @@ def _mirrors(side: BoundarySide) -> tuple[float, ...]:
 
 
 def _fold(mirrors: tuple[float, ...], nodes: np.ndarray) -> int:
-    """Index of the first node the density and the crossing are computed at:
-    ``nodes.size // 2`` on the corridor when the nodes are mirrored pairs
-    -x, x (every window :func:`_nodes_weights` lays out is), so only x > 0
-    is computed and the even functions are mirrored; 0, nothing mirrored,
-    otherwise."""
+    """Index of the first node the crossing is computed at: ``nodes.size //
+    2`` on the corridor when the nodes are mirrored pairs -x, x (as in every
+    state the engine makes), so only x > 0 is computed against the folded
+    mass; 0, nothing folded, otherwise, as for a state made outside the
+    engine."""
     if -1.0 not in mirrors or nodes.size % 2:
         return 0
     half = nodes.size // 2
@@ -359,17 +359,22 @@ def bridge_crossing_symmetric(x0, x1, u0: float, u1: float, dt: float):
 # one-block propagation, banded, for both sides
 
 
-def _band_strip(x_in: np.ndarray, x_out: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (n_out x W) into the sorted ``x_in`` of the contiguous run of
-    input nodes within ``_BAND_SIGMAS * sqrt(dt)`` of each sorted output
-    node, and the mask of the slots that belong to the run (the rest pad
-    the strip to its widest run and repeat a valid index)."""
+def _band_strip(
+    x_in: np.ndarray, x_out: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The output nodes ``rows`` (indices into the sorted ``x_out``) with an
+    input node within ``_BAND_SIGMAS * sqrt(dt)``; for each of them, the
+    indices (rows x W) into the sorted ``x_in`` of that contiguous run of
+    input nodes, and the mask of the slots that belong to the run (the rest
+    pad the strip to its widest run and repeat a valid index)."""
     reach = _BAND_SIGMAS * math.sqrt(dt)
     first = np.searchsorted(x_in, x_out - reach, side="left")
     stop = np.searchsorted(x_in, x_out + reach, side="right")
+    rows = np.flatnonzero(stop > first)
+    first, stop = first[rows], stop[rows]
     width = int(np.max(stop - first, initial=0))
     idx = first[:, None] + np.arange(width)
-    return np.minimum(idx, x_in.size - 1), idx < stop[:, None]
+    return np.minimum(idx, x_in.size - 1), idx < stop[:, None], rows
 
 
 def _wall_factor(xs: np.ndarray, x_out: np.ndarray, g0: float, g1: float, dt: float, mirrors):
@@ -420,17 +425,21 @@ def _banded(
     mirrors: tuple[float, ...],
 ) -> np.ndarray:
     """The kernel entry by entry on the band: only the input nodes within
-    the band of each output node are evaluated, and padded strip slots carry
-    mass 0.  Each entry is the free Gaussian times :func:`_wall_factor`,
-    plus the both-walls remainder on a narrow corridor."""
-    idx, inside = _band_strip(x_in, x_out, dt)
+    the band of each output node are evaluated, padded strip slots carry
+    mass 0, and an output node with no input in its band gets 0.  Each
+    entry is the free Gaussian times :func:`_wall_factor`, plus the
+    both-walls remainder on a narrow corridor."""
+    idx, inside, rows = _band_strip(x_in, x_out, dt)
+    x_band = x_out[rows]
     xs = x_in[idx]
-    gauss = np.exp(-np.square(x_out[:, None] - xs) / (2.0 * dt))
-    kernel = _wall_factor(xs, x_out, g0, g1, dt, mirrors) * gauss
+    gauss = np.exp(-np.square(x_band[:, None] - xs) / (2.0 * dt))
+    kernel = _wall_factor(xs, x_band, g0, g1, dt, mirrors) * gauss
     if _narrow(mirrors, g0, g1, dt):
-        kernel += _kernel_remainder(x_in, idx, x_out, g0, g1, dt, float(gauss.max(initial=0.0)))
+        kernel += _kernel_remainder(x_in, idx, x_band, g0, g1, dt, float(gauss.max(initial=0.0)))
     mass = np.where(inside, mass_in[idx], 0.0)
-    return np.einsum("ij,ij->i", kernel, mass) / math.sqrt(2.0 * math.pi * dt)
+    out = np.zeros(x_out.size)
+    out[rows] = np.einsum("ij,ij->i", kernel, mass) / math.sqrt(2.0 * math.pi * dt)
+    return out
 
 
 def _toeplitz_blocks() -> np.ndarray:
@@ -510,19 +519,13 @@ def _propagate(
     # irregular outputs from every input
     rows = np.r_[0 : rout.start, rout.stop : x_out.size]
     out[rows] = _banded(x_in, mass_in, x_out[rows], g0, g1, dt, mirrors)
-    # regular outputs: the Toeplitz sum over regular inputs, and the band
-    # over the irregular inputs for the rows that reach any
+    # regular outputs: the Toeplitz sum over regular inputs plus the band
+    # over the irregular inputs
     gauss = _toeplitz(mass_in[rin], c_in, c_out, (rout.stop - rout.start) // _PANEL_ORDER)
-    out[rout] = gauss / math.sqrt(2.0 * math.pi * dt)
     x_irr = np.concatenate([x_in[: rin.start], x_in[rin.stop :]])
     m_irr = np.concatenate([mass_in[: rin.start], mass_in[rin.stop :]])
-    x_reg = x_out[rout]
-    reach = _BAND_SIGMAS * math.sqrt(dt)
-    near = np.flatnonzero(
-        np.searchsorted(x_irr, x_reg + reach, side="right")
-        > np.searchsorted(x_irr, x_reg - reach, side="left")
-    )
-    out[rout.start + near] += _banded(x_irr, m_irr, x_reg[near], g0, g1, dt, mirrors)
+    out[rout] = gauss / math.sqrt(2.0 * math.pi * dt)
+    out[rout] += _banded(x_irr, m_irr, x_out[rout], g0, g1, dt, mirrors)
     return out
 
 
@@ -547,19 +550,20 @@ def _step(
 ) -> SubDensity:
     """Absorbed density at time ``t1`` after one block of width ``dt`` with
     boundary values g0 -> g1, from point masses ``mass_in`` at ``x_in``."""
-    mirrors = _mirrors(side)
-    quad = _nodes_weights(mirrors, g1, t1, dt)
+    corridor = side is BoundarySide.SYMMETRIC
+    quad = _nodes_weights(corridor, g1, t1, dt)
     if quad is None:
         return _empty_state(t1)
     x, w, cells = quad
-    half = _fold(mirrors, x)
-    cells_out = cells
-    if half:
-        # the corridor's cells run from -k to k - 1; those of x > 0 start at 0
-        cells_out = LatticeCells(cells.width, 0, cells.count // 2, 0)
-    vals = _propagate(x_in, mass_in, x[half:], g0, g1, dt, mirrors, cells_in, cells_out)
-    if half:
+    vals = _propagate(x_in, mass_in, x, g0, g1, dt, _mirrors(side), cells_in, cells)
+    if corridor:
+        # mirror the half x > 0: its cells 0..c-1 become -c..c-1, after the
+        # mirrored wall piece
+        c, piece = cells.count, x.size - cells.count * _PANEL_ORDER
+        x = np.concatenate([-x[::-1], x])
+        w = np.concatenate([w[::-1], w])
         vals = np.concatenate([vals[::-1], vals])
+        cells = LatticeCells(cells.width, -c, 2 * c, piece)
     return SubDensity(time=t1, nodes=x, weights=w, values=vals, cells=cells)
 
 

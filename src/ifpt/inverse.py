@@ -289,7 +289,9 @@ class InverseSolution:
     max_abs_slope: float
     table: FptTable
 
-    def diagnostics(self, nested_defect: float | None = None) -> dict:
+    def diagnostics(self) -> dict:
+        """The solve as schema-1 ``diagnostics.json``; its ``nested_defect``
+        is null, since :func:`refine` reports that defect per level."""
         return {
             "schema_version": 1,
             "level": self.boundary.grid.level,
@@ -307,7 +309,7 @@ class InverseSolution:
                 for r in self.records
             ],
             "max_abs_slope": self.max_abs_slope,
-            "nested_defect": nested_defect,
+            "nested_defect": None,
         }
 
 

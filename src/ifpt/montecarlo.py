@@ -12,12 +12,11 @@ live path and step: how many paths live at step s depends only on the draws
 before it, and the draws of step s are independent of those.  Counts differ
 from those of the earlier layout, which drew for every path of the chunk and
 discarded the draws of dead ones; the first step draws the same numbers, so
-with one substep per block the block-1 counts are unchanged.  At 2**19 paths
-on a solved level-6 exp(1) boundary, on one CPU of a 2-core x86 box, a
-simulate call makes 21.4M draws of each kind (33.6M before) and takes about
-0.9 s (upper) or 1.4-1.7 s (corridor).  The
-draws alone take about 0.74 s, the step test 0.17 s (upper) or 0.6-0.8 s
-(corridor), and the compaction under 0.1 s.
+the block-1 counts are unchanged.  At 2**19 paths on a solved level-6 exp(1)
+boundary, on one CPU of a 2-core x86 box, a simulate call makes 21.4M draws
+of each kind (33.6M before) and takes about 0.9 s (upper) or 1.4-1.7 s
+(corridor).  The draws alone take about 0.74 s, the step test 0.17 s (upper)
+or 0.6-0.8 s (corridor), and the compaction under 0.1 s.
 
 A path that stays inside the boundary over a step crosses it inside the step
 when its uniform ``u`` falls below the pinned-bridge crossing probability p
@@ -63,22 +62,19 @@ _SCREEN_SLACK = 1e-6
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Path count, per-block substeps and the stream seed (one word of the
-    Philox key, so 0 <= seed < 2**64).
+    """Path count and the stream seed (one word of the Philox key, so
+    0 <= seed < 2**64).
 
-    One substep per block is exact on linear segments thanks to the bridge
-    correction; more substeps only subdivide the same segments.
+    Paths take one step per block, which is exact on the boundary's linear
+    segments thanks to the bridge correction.
     """
 
     paths: int
-    substeps: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.paths < 1:
             raise ValueError("need at least one path")
-        if self.substeps < 1:
-            raise ValueError("need at least one substep per block")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
@@ -169,28 +165,24 @@ def _simulate_chunk(
     rng = np.random.Generator(
         np.random.Philox(key=np.array([cfg.seed, chunk_index], dtype=np.uint64))
     )
-    blocks = b.grid.blocks
-    steps = blocks * cfg.substeps
-    dt = b.grid.block_width / cfg.substeps
-    # clip: for substeps > 1 the division may overshoot the horizon by 1 ulp
-    times = np.minimum(np.arange(steps + 1) * b.grid.horizon / steps, b.grid.horizon)
-    uppers = b.upper(times)
+    g = b.knot_values
+    dt = b.grid.block_width
     symmetric = b.side is BoundarySide.SYMMETRIC
 
-    hits = np.zeros(blocks, dtype=np.int64)
+    hits = np.zeros(b.grid.blocks, dtype=np.int64)
     x = np.zeros(count)
     sqdt = math.sqrt(dt)
-    for s in range(steps):
+    for m in range(b.grid.blocks):
         # the k-th draws of the step go to the k-th live path; how many are
         # drawn depends only on earlier draws, so each is fresh and independent
         x1 = rng.standard_normal(x.size)
         x1 *= sqdt
         x1 += x
         u = rng.random(x.size)
-        crossed = _step_crossed(x, x1, u, float(uppers[s]), float(uppers[s + 1]), dt, symmetric)
+        crossed = _step_crossed(x, x1, u, float(g[m]), float(g[m + 1]), dt, symmetric)
         dead = np.count_nonzero(crossed)
         if dead:
-            hits[s // cfg.substeps] += dead
+            hits[m] += dead
             if dead == x1.size:
                 break
             x1 = x1[~crossed]

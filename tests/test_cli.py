@@ -96,6 +96,16 @@ class TestInverseCommand:
         assert run(*args, "--out", tmp_path / "out") == 3
         assert "block 0 target mass underflows to 0 at level 11" in capsys.readouterr().err
 
+    def test_diverging_root_search_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a first-block crossing probability stuck at 1 sends the level
+        # bracket past its limit
+        monkeypatch.setattr(inv, "constant_boundary_cdf", lambda z, t, side: 1.0)
+        args = ("inverse", "--target", "exp:1", "--T", 1, "--n", 2)
+        assert run(*args, "--out", tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert "numerical inconsistency: level bracket expansion diverged" in err
+        assert not (tmp_path / "out").exists()
+
     def test_uniform_target_solves(self, tmp_path):
         assert run("inverse", "--target", "uniform:0,2", "--T", 1, "--n", 3,
                    "--side", "symmetric", "--out", tmp_path) == 0
@@ -271,3 +281,11 @@ def test_removed_flags_are_rejected(command, flag, tmp_path, capsys):
         run(command, *SUBCOMMANDS[command], *flag, "--out", tmp_path)
     assert exc_info.value.code == 2
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+def test_substeps_flag_is_rejected(tmp_path, capsys):
+    # Monte Carlo takes one step per block, which is exact on linear segments
+    with pytest.raises(SystemExit) as exc_info:
+        run("simulate", *SUBCOMMANDS["simulate"], "--substeps", "2", "--out", tmp_path)
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --substeps" in capsys.readouterr().err

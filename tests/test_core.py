@@ -154,10 +154,6 @@ class TestTargets:
         expect += 0.5 * (0.6 + f_08) * 0.3
         assert d.cdf_at(0.8) == pytest.approx(expect, abs=1e-15)
 
-    def test_sample_count_floor(self):
-        with pytest.raises(ValueError):
-            validate_target(exponential_target(1.0), 1.0, sample_count=1)
-
     def test_kinked_table_between_samples_still_validates(self):
         # kinks at 1/1024 and 2/1024 sit inside the default sample intervals;
         # the validator refines its grid at the table's breakpoints

@@ -341,7 +341,7 @@ class TestBandedPropagation:
     def test_band_is_narrow_at_level_10(self):
         before, dt = self.last_blocks(10)
         after = propagated_subdensity(before, 1.0, 1.0, dt, self.side)
-        idx, inside = _band_strip(before.nodes, after.nodes, dt)
+        idx, inside, _ = _band_strip(before.nodes, after.nodes, dt)
         assert inside.any(axis=1).all()
         assert idx.shape[1] < before.nodes.size * self.band_share
 
@@ -356,9 +356,9 @@ class TestBandedPropagation:
             strips = []
 
             def record(x_in, x_out, dt):
-                idx, inside = _band_strip(x_in, x_out, dt)
+                idx, inside, rows = _band_strip(x_in, x_out, dt)
                 strips.append(idx.size)
-                return idx, inside
+                return idx, inside, rows
 
             with monkeypatch.context() as mp:
                 mp.setattr(fw, "_band_strip", record)

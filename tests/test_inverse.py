@@ -22,7 +22,12 @@ from ifpt import (
 )
 import ifpt.forward as fwd
 import ifpt.inverse as inv
-from ifpt.core import MAX_LEVEL, NumericalConsistencyError, SURVIVAL_MASS_EPSILON
+from ifpt.core import (
+    MAX_LEVEL,
+    ConvergenceError,
+    NumericalConsistencyError,
+    SURVIVAL_MASS_EPSILON,
+)
 from ifpt.forward import crossing_mass, fpt_distribution_table, initial_subdensity
 from ifpt.inverse import PROBABILITY_TOL
 
@@ -155,6 +160,58 @@ class TestSolveBlock:
         lo, mid, hi = rec.bracket_lo, 0.5 * (rec.bracket_lo + rec.bracket_hi), rec.bracket_hi
         f = [crossing_mass(state, 1.0, 1.0 + a * dt, dt, UP) for a in (lo, mid, hi)]
         assert f[0] > f[1] > f[2]
+
+
+class TestConvergenceFailures:
+    """Each typed failure of the root search, forced by an objective that
+    is constant or a step."""
+
+    @staticmethod
+    def block_one():
+        # exp(1) on a level-1 grid: block 1's target mass is 0.24, below the
+        # survival 0.84 of a constant first segment at 1
+        state = initial_subdensity(1.0, 1.0, 0.5, UP)
+        return state, exponential_target(1.0), block_mass(exponential_target(1.0), 0.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "cdf, message",
+        [(1.0, r"level bracket expansion diverged$"),
+         (0.0, r"level bracket expansion diverged toward zero$")],
+        ids=["upward", "toward-zero"],
+    )
+    def test_level_bracket_diverges(self, monkeypatch, cdf, message):
+        monkeypatch.setattr(inv, "constant_boundary_cdf", lambda z, t, side: cdf)
+        with pytest.raises(ConvergenceError, match=message):
+            solve_first_block(exponential_target(1.0), DyadicGrid(1.0, 2), UP)
+
+    @pytest.mark.parametrize("mass, way", [(0.5, "upward"), (0.0, "downward")])
+    def test_slope_bracket_diverges(self, monkeypatch, mass, way):
+        state, d, _ = self.block_one()
+        monkeypatch.setattr(inv, "crossing_mass", lambda *args: mass)
+        with pytest.raises(ConvergenceError, match=f"slope bracket for block 1 diverged {way}$"):
+            solve_block(state, d, 1, UP, boundary_value=1.0, dt=0.5)
+
+    def test_collapsed_bracket_above_tolerance(self, monkeypatch):
+        # the objective steps over the target mass at slope 0, so the
+        # bracket closes on the step with a residual of 1e-6
+        state, d, target = self.block_one()
+
+        def step(p, g0, g1, dt, side):
+            return target + (1e-6 if g1 < g0 else -1e-6)
+
+        monkeypatch.setattr(inv, "crossing_mass", step)
+        with pytest.raises(ConvergenceError, match=r"bracket collapsed but residual -?1e-06 "
+                                                   r"exceeds the probability tolerance 1e-10"):
+            solve_block(state, d, 1, UP, boundary_value=1.0, dt=0.5)
+
+    def test_iteration_budget_runs_out(self):
+        # the secant of -a**3 - 0.5 over [-1, 1] lands on -0.5, a residual
+        # of -0.375, and no evaluation is left
+        with pytest.raises(ConvergenceError, match=r"root not located within "
+                                                   rf"{inv._MAX_ITERATIONS} iterations "
+                                                   r"\(last residual -0.375\)"):
+            inv._refine_root(lambda a: -a**3, 0.5, -1.0, 1.0, 1.0, -1.0,
+                             inv._MAX_ITERATIONS - 1, 1)
 
 
 class TestConstructBoundary:

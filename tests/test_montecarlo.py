@@ -68,15 +68,6 @@ class TestSimulate:
         threaded = simulate_hitting_times(b, cfg)
         assert np.array_equal(serial.hits, threaded.hits)
 
-    def test_substeps_keep_linear_segments_exact(self):
-        grid = DyadicGrid(1.0, 2)
-        b = PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, grid, 1.0 + 0.5 * grid.knots)
-        one = simulate_hitting_times(b, SimConfig(paths=120_000, seed=5, substeps=1))
-        four = simulate_hitting_times(b, SimConfig(paths=120_000, seed=5, substeps=4))
-        p1 = 1.0 - one.survivors / one.paths
-        p4 = 1.0 - four.survivors / four.paths
-        assert abs(p1 - p4) <= 4.0 * math.sqrt(0.25 / one.paths)
-
     def test_counts_add_up(self):
         b = const_boundary(BoundarySide.SYMMETRIC, 2)
         emp = simulate_hitting_times(b, SimConfig(paths=10_000, seed=2))
@@ -132,8 +123,6 @@ class TestSimulate:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(paths=0)
-        with pytest.raises(ValueError):
-            SimConfig(paths=10, substeps=0)
         # the seed is one uint64 word of the Philox key
         for seed in (-1, -3, 2**64, 2**64 + 5):
             with pytest.raises(ValueError, match="seed"):
@@ -257,14 +246,13 @@ def _unscreened_chunk(b, cfg, chunk_index, count):
     rng = np.random.Generator(
         np.random.Philox(key=np.array([cfg.seed, chunk_index], dtype=np.uint64))
     )
-    steps = b.grid.blocks * cfg.substeps
-    dt = b.grid.block_width / cfg.substeps
-    g = b.upper(np.minimum(np.arange(steps + 1) * b.grid.horizon / steps, b.grid.horizon))
+    dt = b.grid.block_width
+    g = b.upper(b.grid.knots)
     symmetric = b.side is BoundarySide.SYMMETRIC
     x = np.zeros(count)
     alive = np.ones(count, dtype=bool)
     hits = np.zeros(b.grid.blocks, dtype=np.int64)
-    for s in range(steps):
+    for s in range(b.grid.blocks):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
@@ -280,7 +268,7 @@ def _unscreened_chunk(b, cfg, chunk_index, count):
             bridge = bridge_crossing_symmetric if symmetric else bridge_crossing_upper
             p[inside] = bridge(x0[inside], x1[inside], g0, g1, dt)
         crossed = breach | (u < p)
-        hits[s // cfg.substeps] += np.count_nonzero(crossed)
+        hits[s] += np.count_nonzero(crossed)
         alive[idx[crossed]] = False
         x[idx[~crossed]] = x1[~crossed]
     return hits
@@ -323,32 +311,21 @@ def _pinched_corridor():
 
 class TestScreenedBridge:
     @pytest.mark.parametrize(
-        "make, substeps",
+        "make",
         [
-            (lambda: const_boundary(BoundarySide.SYMMETRIC, 4), 1),
-            (_solved_corridor, 1),
-            (_steep_corridor, 1),
-            (_steep_corridor, 3),
-            (_upper_line, 1),
-            (_upper_line, 3),
-            (_upper_collapse, 1),
-            (_pinched_corridor, 1),
+            lambda: const_boundary(BoundarySide.SYMMETRIC, 4),
+            _solved_corridor,
+            _steep_corridor,
+            _upper_line,
+            _upper_collapse,
+            _pinched_corridor,
         ],
-        ids=[
-            "constant",
-            "solved-exp1-n5",
-            "steep",
-            "steep-substeps",
-            "upper",
-            "upper-substeps",
-            "upper-collapse",
-            "pinched",
-        ],
+        ids=["constant", "solved-exp1-n5", "steep", "upper", "upper-collapse", "pinched"],
     )
-    def test_counts_equal_unscreened_loop(self, make, substeps):
+    def test_counts_equal_unscreened_loop(self, make):
         b = make()
         for seed, chunk_index in [(0, 0), (1, 3), (7, 1)]:
-            cfg = SimConfig(paths=1, substeps=substeps, seed=seed)
+            cfg = SimConfig(paths=1, seed=seed)
             got = _simulate_chunk(b, cfg, chunk_index, 20_000)
             want = _unscreened_chunk(b, cfg, chunk_index, 20_000)
             assert got.sum() > 0
