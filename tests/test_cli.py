@@ -274,18 +274,13 @@ SUBCOMMANDS = {
 }
 
 
-@pytest.mark.parametrize("flag", [["--tol", "1e-10"], ["--nodes", "96"]], ids=["tol", "nodes"])
+@pytest.mark.parametrize(
+    "flag", [["--tol", "1e-10"], ["--nodes", "96"], ["--substeps", "2"]],
+    ids=["tol", "nodes", "substeps"],
+)
 @pytest.mark.parametrize("command", list(SUBCOMMANDS))
 def test_removed_flags_are_rejected(command, flag, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc_info:
         run(command, *SUBCOMMANDS[command], *flag, "--out", tmp_path)
     assert exc_info.value.code == 2
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
-
-
-def test_substeps_flag_is_rejected(tmp_path, capsys):
-    # Monte Carlo takes one step per block, which is exact on linear segments
-    with pytest.raises(SystemExit) as exc_info:
-        run("simulate", *SUBCOMMANDS["simulate"], "--substeps", "2", "--out", tmp_path)
-    assert exc_info.value.code == 2
-    assert "unrecognized arguments: --substeps" in capsys.readouterr().err

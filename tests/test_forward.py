@@ -341,7 +341,8 @@ class TestBandedPropagation:
     def test_band_is_narrow_at_level_10(self):
         before, dt = self.last_blocks(10)
         after = propagated_subdensity(before, 1.0, 1.0, dt, self.side)
-        idx, inside, _ = _band_strip(before.nodes, after.nodes, dt)
+        idx, inside, rows = _band_strip(before.nodes, after.nodes, dt)
+        assert np.array_equal(rows, np.arange(after.nodes.size))
         assert inside.any(axis=1).all()
         assert idx.shape[1] < before.nodes.size * self.band_share
 
