@@ -51,20 +51,30 @@ h = 3*sqrt(dt), anchored at 0, each holding the 12 Gauss-Legendre nodes
 lines, so only a cell cut by a wall is not full; it is graded toward the
 wall, and a piece narrower than h/4 joins its neighbour cell while there is
 one (a corridor with g < 5h/4 has none: its window is the two wall pieces).
-A full cell is regular when every wall of its knot is at least 2 cells
-(6 standard deviations) away.  Between a regular input cell (walls at g0)
-and a regular output cell (walls at g1) each one-wall exponent
--2(g1 - s*x)(g0 - s*y)/dt is at most -2*6*6 = -72, so the wall factor is 1
-within exp(-72), below half an ulp of 1; and the corridor's remainder never
-arises there, since both walls are then at least 7.5 standard deviations
-out, 2*m**2/dt >= 112 > ``_WIDE``.  So the kernel between regular cells is
-the free Gaussian, which depends only on how many cells apart they are: for
-offsets o = -3..3, which cover the 9-sigma band, it is the 12 x 12 block
-K_o[p, q] = exp(-(3*o + 1.5*(xi_p - xi_q))**2 / 2), the same for every dt
-(Greengard & Strain's fast Gauss transform uses this translation
-invariance).  Every other entry, from or to an irregular cell, is evaluated
-on the band as above.  Windows without regular cells (the first blocks,
-narrow corridors) and the first knot's point mass take the band alone.
+An output cell is free when it is at least 2 cells (6 standard deviations)
+below x = g1 and every input cell within 3 cells of it, all that its band
+reaches, is at least 2 cells below x = g0.  Only the top of an engine
+window is walled: the upper window's cells start at -reach, below any
+wall, and the corridor's laid-out half at cell 0.  So the free cells are a
+prefix of the window's cells, counted from the lattice indices alone:
+min(count, floor(g1/h) - 2 - first, floor(g0/h) - 5 - first).  From an
+input y in a free cell's band to an output x in it, the upper wall's
+exponent -2(g1 - x)(g0 - y)/dt is at most -2*6*6 = -72, so the wall factor
+is 1 within exp(-72), below half an ulp of 1.  The corridor needs no more:
+a free cell exists only when g0 >= 6h and g1 >= 3h, and its outputs have
+x >= 0 and its band's inputs y > -3h, so the mirror wall's exponent
+-2(g1 + x)(g0 + y)/dt is at most -2*9*9 = -162, and 2*m**2/dt >= 162 >
+``_WIDE`` rules out the both-walls remainder.  The input's wall pieces lie
+beyond the band of a free cell.  So the kernel into a free cell is the free
+Gaussian from the full input cells, which depends only on how many cells
+apart they are: for offsets o = -3..3, which cover the 9-sigma band, it is
+the 12 x 12 block K_o[p, q] = exp(-(3*o + 1.5*(xi_p - xi_q))**2 / 2), the
+same for every dt (Greengard & Strain's fast Gauss transform uses this
+translation invariance).  Each output node takes one route: the free prefix
+takes this product over every full input cell, and every other node the
+band above over every input node.  A window without free cells (the first
+blocks, narrow corridors), the first knot's point mass and a state not on
+the block's lattice take the band alone.
 
 The corridor's density is even.  It starts from a point mass at 0 and the
 walls -g, g are symmetric under x -> -x, so the absorbed density is even at
@@ -74,9 +84,11 @@ nodes, weights and values once.  The lattice is anchored at 0 and the panel
 rule is made exactly symmetric, so the mirrored cells are the lattice cells
 below 0 bit for bit, and the lower wall piece is the upper one negated.  The
 block crossing, an even function of the start, is evaluated at x > 0
-against the mass folded onto them (:func:`_fold`, which checks the mirror
-pairs, so a state made outside the engine is summed over every node).  This
-halves the propagation and the crossing; the states keep the full node set.
+against the mass folded onto them when the state's lattice cells are
+mirrored, 2*first_cell == -count, as in every corridor state the engine
+makes; a state made outside the engine, without cells, is summed over every
+node.  This halves the propagation and the crossing; the states keep the
+full node set.
 
 Per-block crossing probabilities from a fixed state have closed forms, so
 slope candidates during root finding cost O(nodes) while the full
@@ -136,8 +148,9 @@ _BAND_SIGMAS = 9.0
 #: further apart are more than ``_BAND_SIGMAS`` standard deviations apart.
 _REACH_CELLS = int(_BAND_SIGMAS // _PANEL_SIGMAS)
 
-#: A full cell is regular when each wall of its knot is at least this many
-#: cells away; between regular cells the wall factor is 1 within exp(-72).
+#: An output cell is free when each wall is at least this many cells from it
+#: and from every input cell of its band; there the wall factor is 1 within
+#: exp(-72).
 _WALL_CELLS = 2
 
 #: The corridor's both-walls remainder runs only while 2*min(u0, u1)**2/dt
@@ -206,18 +219,6 @@ _CORRIDOR = (1.0, -1.0)
 def _mirrors(side: BoundarySide) -> tuple[float, ...]:
     """Signs s of the walls s*x = g of ``side``."""
     return (1.0,) if side is BoundarySide.UPPER_ONLY else _CORRIDOR
-
-
-def _fold(mirrors: tuple[float, ...], nodes: np.ndarray) -> int:
-    """Index of the first node the crossing is computed at: ``nodes.size //
-    2`` on the corridor when the nodes are mirrored pairs -x, x (as in every
-    state the engine makes), so only x > 0 is computed against the folded
-    mass; 0, nothing folded, otherwise, as for a state made outside the
-    engine."""
-    if -1.0 not in mirrors or nodes.size % 2:
-        return 0
-    half = nodes.size // 2
-    return half if np.array_equal(nodes[half:], -nodes[:half][::-1]) else 0
 
 
 def _narrow(mirrors: tuple[float, ...], g0: float, g1: float, dt: float) -> bool:
@@ -471,25 +472,6 @@ def _toeplitz(mass: np.ndarray, c_in: int, c_out: int, n_out: int) -> np.ndarray
     return (windows.reshape(n_out, -1) @ _TOEPLITZ).ravel()
 
 
-def _regular(
-    cells: LatticeCells | None, g: float, dt: float, mirrors: tuple[float, ...]
-) -> tuple[slice, int] | None:
-    """The nodes and the first lattice index of the cells of ``cells`` at
-    least ``_WALL_CELLS`` cells from every wall s*x = g; None if there
-    are none or ``cells`` is not on this block's lattice."""
-    h = _PANEL_SIGMAS * math.sqrt(dt)
-    if cells is None or cells.width != h:
-        return None
-    # cell k is clear of x = g iff k < room, and of x = -g iff k >= -room
-    room = math.floor(g / h) - _WALL_CELLS
-    first = max(cells.first_cell, -room) if -1.0 in mirrors else cells.first_cell
-    stop = min(cells.first_cell + cells.count, room)
-    if stop <= first:
-        return None
-    start = cells.first_node + _PANEL_ORDER * (first - cells.first_cell)
-    return slice(start, start + _PANEL_ORDER * (stop - first)), first
-
-
 def _propagate(
     x_in: np.ndarray,
     mass_in: np.ndarray,
@@ -505,27 +487,27 @@ def _propagate(
     s*x = g (s in ``mirrors``, g linear g0 -> g1), from point masses
     ``mass_in`` (weight times value) at ``x_in``.
 
-    Between the regular lattice cells of the input (``cells_in``, walls at
-    g0) and of the output (``cells_out``, walls at g1) the kernel is the
-    free Gaussian, summed by :func:`_toeplitz`; every other entry is
-    evaluated on the band by :func:`_banded`.
+    The output's free cells (module docstring), a prefix of ``cells_out``,
+    take the free Gaussian from every full input cell of ``cells_in``,
+    summed by :func:`_toeplitz`; every other output node takes the band from
+    every input node, by :func:`_banded`.
     """
-    reg_in = _regular(cells_in, g0, dt, mirrors)
-    reg_out = _regular(cells_out, g1, dt, mirrors)
-    if reg_in is None or reg_out is None:
+    h = _PANEL_SIGMAS * math.sqrt(dt)
+    free = 0
+    if cells_in is not None and cells_out is not None and cells_in.width == h:
+        first = cells_out.first_cell
+        free = min(
+            cells_out.count,
+            math.floor(g1 / h) - _WALL_CELLS - first,
+            math.floor(g0 / h) - _WALL_CELLS - _REACH_CELLS - first,
+        )
+    if free <= 0:
         return _banded(x_in, mass_in, x_out, g0, g1, dt, mirrors)
-    (rin, c_in), (rout, c_out) = reg_in, reg_out
+    n = _PANEL_ORDER * free
+    full = mass_in[cells_in.first_node :][: _PANEL_ORDER * cells_in.count]
     out = np.empty(x_out.size)
-    # irregular outputs from every input
-    rows = np.r_[0 : rout.start, rout.stop : x_out.size]
-    out[rows] = _banded(x_in, mass_in, x_out[rows], g0, g1, dt, mirrors)
-    # regular outputs: the Toeplitz sum over regular inputs plus the band
-    # over the irregular inputs
-    gauss = _toeplitz(mass_in[rin], c_in, c_out, (rout.stop - rout.start) // _PANEL_ORDER)
-    x_irr = np.concatenate([x_in[: rin.start], x_in[rin.stop :]])
-    m_irr = np.concatenate([mass_in[: rin.start], mass_in[rin.stop :]])
-    out[rout] = gauss / math.sqrt(2.0 * math.pi * dt)
-    out[rout] += _banded(x_irr, m_irr, x_out[rout], g0, g1, dt, mirrors)
+    out[:n] = _toeplitz(full, cells_in.first_cell, first, free) / math.sqrt(2.0 * math.pi * dt)
+    out[n:] = _banded(x_in, mass_in, x_out[n:], g0, g1, dt, mirrors)
     return out
 
 
@@ -612,17 +594,20 @@ def crossing_mass(
     Evaluated as a weighted sum of per-node crossing probabilities, which
     keeps tiny masses accurate in relative terms.  On the corridor the
     crossing probability is even, so it is evaluated at the nodes x > 0
-    only, against the mass folded onto them; a state whose nodes are not
-    mirrored pairs is summed over every node.
+    only, against the mass folded onto them, when the state's lattice cells
+    are mirrored (cells -c..c-1, as in every corridor state the engine
+    makes); a state without cells is summed over every node.
     """
     if state.nodes.size == 0:
         return 0.0
-    mirrors = _mirrors(side)
-    half = _fold(mirrors, state.nodes)
+    cells = state.cells
+    mirrored = cells is not None and 2 * cells.first_cell == -cells.count
     mass = state.weights * state.values
-    if half:
+    half = 0
+    if side is BoundarySide.SYMMETRIC and mirrored:
+        half = state.nodes.size // 2
         mass = mass[half:] + mass[:half][::-1]
-    value = float(mass @ _crossing(state.nodes[half:], g0, g1, dt, mirrors))
+    value = float(mass @ _crossing(state.nodes[half:], g0, g1, dt, _mirrors(side)))
     if value < -_SURVIVAL_SLACK:
         raise NumericalConsistencyError(f"negative block crossing probability {value:g}")
     return min(max(value, 0.0), state.survival)

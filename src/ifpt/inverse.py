@@ -6,8 +6,10 @@ and the next block is solved.
 Each block's objective is continuous and strictly decreasing in the slope,
 so it has a unique root, found by safeguarded regula falsi (Illinois
 variant) inside a bracket.  Block m >= 2 starts its bracket at block m-1's
-slope, so a smooth boundary needs about five crossing-mass evaluations per
-block; block 1 starts cold from ±``_BRACKET_HALFWIDTH``.
+slope, so a smooth boundary needs few crossing-mass evaluations per block,
+fewer the finer the grid: for exp(1) on the upper side the blocks after the
+first take 6.1, 4.6, 3.8 and 3.2 on average at n = 5, 7, 8 and 10.  Block 1
+starts cold from ±``_BRACKET_HALFWIDTH``.
 
 The solve propagates the absorbed state across every block once, and the
 survivals of those states are the solved boundary's hitting-time table

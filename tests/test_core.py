@@ -10,6 +10,7 @@ from ifpt import (
     TargetDistribution,
     ValidationError,
     block_mass,
+    construct_boundary,
     exponential_target,
     read_boundary_csv,
     read_target_csv,
@@ -134,6 +135,30 @@ class TestTargets:
         )
         report = validate_target(d, 1.0)
         assert any("inconsistent" in v for v in report.violations)
+
+    @pytest.mark.parametrize(
+        "declared, cdf, message",
+        [
+            ({"upper_bound": 0.4}, None, "density above declared upper bound at t=0"),
+            ({"lower_bound": 0.6}, None, "density below declared lower bound at t=0.00195312"),
+            ({}, lambda t: 0.1 + 0.5 * t, "cdf at 0 is 0.1, expected 0"),
+            ({}, lambda t: 0.5 * t - 0.1 * (t > 0.5), "cdf decreasing near t=0.501953"),
+        ],
+        ids=["upper bound", "lower bound", "cdf at 0", "decreasing cdf"],
+    )
+    def test_each_violation_is_reported(self, declared, cdf, message):
+        # a constant density 0.5 whose one declared bound or cdf is wrong
+        d = TargetDistribution(
+            density=lambda t: np.full_like(np.asarray(t, float), 0.5),
+            cdf=cdf or (lambda t: 0.5 * np.asarray(t, float)),
+            kind="custom",
+            **declared,
+        )
+        report = validate_target(d, 1.0)
+        assert message in report.violations
+        if "upper_bound" in declared:
+            with pytest.raises(ValidationError, match="density above declared upper bound"):
+                construct_boundary(d, 1.0, 3, BoundarySide.UPPER_ONLY)
 
     def test_nonfinite_density_raises(self):
         d = TargetDistribution(

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -28,7 +29,6 @@ from ifpt.forward import (
     _crossing,
     _narrow,
     _propagate,
-    _regular,
     block_crossing_symmetric,
     bridge_crossing_symmetric,
     crossing_mass,
@@ -430,29 +430,6 @@ class TestLattice:
             shared += 1
         assert shared > 200
 
-    def test_regular_cells_keep_two_cells_from_the_walls(self, solved):
-        b, states = solved
-        dt = b.grid.block_width
-        h = 3.0 * math.sqrt(dt)
-        mirrors = UPPER if b.side is BoundarySide.UPPER_ONLY else CORRIDOR
-        regular = 0
-        for m, s in enumerate(states, start=1):
-            g = float(b.knot_values[m])
-            reg = _regular(s.cells, g, dt, mirrors)
-            if reg is None:
-                continue
-            nodes, first = reg
-            stop = first + (nodes.stop - nodes.start) // 12
-            assert stop * h + 2.0 * h <= g * (1.0 + 1e-15)
-            if mirrors == CORRIDOR:
-                assert first * h - 2.0 * h >= -g * (1.0 + 1e-15)
-            # the run's nodes are the Gauss-Legendre nodes of those cells
-            cells = np.arange(first, stop)[:, None]
-            expect = (cells + 0.5) * h + 0.5 * h * _XG
-            assert np.allclose(s.nodes[nodes], expect.ravel(), rtol=0.0, atol=1e-15)
-            regular += 1
-        assert regular > len(states) // 2
-
     def test_weights_sum_to_window_width(self, solved):
         b, states = solved
         h = 3.0 * math.sqrt(b.grid.block_width)
@@ -518,6 +495,86 @@ class TestLattice:
                 literal = np.exp(-np.square(x[:, None] - y[None, :]) / (2.0 * dt))
                 block = _TOEPLITZ[12 * (3 - o) : 12 * (4 - o)].T
                 assert np.max(np.abs(block - literal)) <= 4.0 * np.finfo(float).eps
+
+
+@functools.cache
+def _routes(side, level):
+    """The solved exp(1) boundary at ``level`` and, for each propagation of
+    its forward pass, the arguments of ``_propagate`` with those of the
+    ``_toeplitz`` and ``_banded`` calls it made."""
+    import ifpt.forward as fw
+    from ifpt import construct_boundary
+
+    b = construct_boundary(exponential_target(1.0), 1.0, level, side).boundary
+    props = []
+
+    def spy(name):
+        real = getattr(fw, name)
+
+        def call(*args):
+            props[-1][name].append(args)
+            return real(*args)
+
+        return call
+
+    def propagate(*args, real=fw._propagate):
+        props.append({"args": args, "_toeplitz": [], "_banded": []})
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fw, "_toeplitz", spy("_toeplitz"))
+        mp.setattr(fw, "_banded", spy("_banded"))
+        mp.setattr(fw, "_propagate", propagate)
+        fpt_distribution_table(b)
+    return b, props
+
+
+class TestRoutes:
+    """Each output node of a propagation takes one route: the free prefix of
+    the window the Toeplitz product, every other node one band call."""
+
+    @pytest.mark.parametrize("level", [8, 10])
+    @pytest.mark.parametrize("side", SIDES, ids=["upper", "symmetric"])
+    def test_one_route_per_output_node(self, side, level):
+        b, props = _routes(side, level)
+        assert len(props) == b.grid.blocks
+        for p in props:
+            x_in, mass_in, x_out, *_, cells_in, cells_out = p["args"]
+            assert len(p["_banded"]) == 1 and len(p["_toeplitz"]) <= 1
+            n = 0
+            for mass, c_in, c_out, count in p["_toeplitz"]:
+                # whole cells from the window's first, from every full input cell
+                assert c_out == cells_out.first_cell and 0 < count <= cells_out.count
+                assert c_in == cells_in.first_cell
+                assert np.array_equal(mass, mass_in[cells_in.first_node :][: 12 * cells_in.count])
+                n = 12 * count
+            # the band takes every input and exactly the remaining outputs
+            band_in, band_mass, band_out = p["_banded"][0][:3]
+            assert band_in is x_in and band_mass is mass_in
+            assert np.array_equal(band_out, x_out[n:])
+
+    @pytest.mark.parametrize("side", SIDES, ids=["upper", "symmetric"])
+    def test_free_cells_keep_two_cells_from_the_walls(self, side):
+        b, props = _routes(side, 10)
+        h = 3.0 * math.sqrt(b.grid.block_width)
+        free = 0
+        for p in props:
+            _, _, x_out, g0, g1, *_ = p["args"]
+            for _, _, first, count in p["_toeplitz"]:
+                stop = first + count
+                # 2 cells below x = g1, and so is their band of 3 cells
+                # either side below x = g0
+                assert stop * h + 2.0 * h <= g1 * (1.0 + 1e-15)
+                assert (stop + 3) * h + 2.0 * h <= g0 * (1.0 + 1e-15)
+                if side is BoundarySide.SYMMETRIC:
+                    assert first * h - 2.0 * h >= -g1 * (1.0 + 1e-15)
+                    assert (first - 3) * h - 2.0 * h >= -g0 * (1.0 + 1e-15)
+                # the prefix's nodes are the Gauss-Legendre nodes of those cells
+                cells = np.arange(first, stop)[:, None]
+                expect = (cells + 0.5) * h + 0.5 * h * _XG
+                assert np.allclose(x_out[: 12 * count], expect.ravel(), rtol=0.0, atol=1e-15)
+                free += 1
+        assert free > len(props) // 2
 
 
 class TestCorridorFold:
@@ -599,6 +656,27 @@ class TestConsistencyGuards:
         monkeypatch.setattr(fw, "_propagate", lambda *a: 1.5 * real(*a))
         with pytest.raises(NumericalConsistencyError):
             next(states)
+
+    def test_negative_crossing_detected(self, monkeypatch):
+        import ifpt.forward as fw
+
+        b = const_boundary(BoundarySide.UPPER_ONLY, 2, value=0.5)
+        state = next(subdensities(b))
+        monkeypatch.setattr(fw, "_crossing", lambda x, *a: np.full(x.size, -1.0))
+        with pytest.raises(NumericalConsistencyError, match="negative block crossing probability"):
+            crossing_mass(state, 0.5, 0.5, b.grid.block_width, b.side)
+
+    def test_window_below_the_wall_empties_the_state(self):
+        # 1 - 60t falls below the window's lower end -2.25 at knot 4 of n = 6
+        # (t = 1/16, 8 standard deviations of 1/4), and the states stay empty
+        grid = DyadicGrid(1.0, 6)
+        b = PiecewiseLinearBoundary(BoundarySide.UPPER_ONLY, grid, 1.0 - 60.0 * grid.knots)
+        states = list(subdensities(b))
+        assert all(s.nodes.size > 0 for s in states[:3])
+        for s in states[3:]:
+            assert s.nodes.size == 0 and s.survival == 0.0
+            assert crossing_mass(s, -3.0, -4.0, grid.block_width, b.side) == 0.0
+        assert fpt_distribution_table(b).cdf[-1] == 1.0
 
 
 # ---------------------------------------------------------------------------
