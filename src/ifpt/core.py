@@ -277,10 +277,12 @@ def tabulated_target(ts, fs) -> TargetDistribution:
 
     def cdf(t):
         t_arr = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(ts, t_arr, side="right") - 1, 0, ts.size - 2)
-        dt = t_arr - ts[i]
+        # past the last sample the density holds fs[-1], as np.interp does
+        s = np.minimum(t_arr, ts[-1])
+        i = np.clip(np.searchsorted(ts, s, side="right") - 1, 0, ts.size - 2)
+        dt = s - ts[i]
         slope = (fs[i + 1] - fs[i]) / (ts[i + 1] - ts[i])
-        out = cum[i] + fs[i] * dt + 0.5 * slope * dt * dt
+        out = cum[i] + fs[i] * dt + 0.5 * slope * dt * dt + fs[-1] * (t_arr - s)
         return np.clip(out, 0.0, None)
 
     return TargetDistribution(

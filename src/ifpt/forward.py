@@ -42,7 +42,9 @@ input nodes within ``_BAND_SIGMAS`` standard deviations of the block's
 Gaussian.  The killed kernel, and each image term of it, never exceeds the
 free Gaussian, so every dropped entry is below exp(-c**2/2) of the kernel's
 peak (about 2.6e-18 for c = 9) and the mass dropped per block is at most
-2*Phi(-c) (about 2.3e-19) of the survival.
+2*Phi(-c) (about 2.3e-19) of the survival.  The band is held as (output,
+input) index pairs, one per entry within it, as in a compressed sparse row
+matrix, and each output node's entries are summed by ``np.bincount``.
 
 Most of the band is one constant matrix.  The quadrature panels sit on a
 lattice fixed for the whole solve: cells [k*h, (k+1)*h) of width
@@ -360,28 +362,23 @@ def bridge_crossing_symmetric(x0, x1, u0: float, u1: float, dt: float):
 # one-block propagation, banded, for both sides
 
 
-def _band_strip(
-    x_in: np.ndarray, x_out: np.ndarray, dt: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The output nodes ``rows`` (indices into the sorted ``x_out``) with an
-    input node within ``_BAND_SIGMAS * sqrt(dt)``; for each of them, the
-    indices (rows x W) into the sorted ``x_in`` of that contiguous run of
-    input nodes, and the mask of the slots that belong to the run (the rest
-    pad the strip to its widest run and repeat a valid index)."""
+def _band_strip(x_in: np.ndarray, x_out: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The band as index pairs (row, col) into the sorted ``x_out`` and
+    ``x_in``, one pair per input node within ``_BAND_SIGMAS * sqrt(dt)`` of
+    an output node: output by output, inputs ascending within each (the
+    layout of a compressed sparse row matrix)."""
     reach = _BAND_SIGMAS * math.sqrt(dt)
     first = np.searchsorted(x_in, x_out - reach, side="left")
-    stop = np.searchsorted(x_in, x_out + reach, side="right")
-    rows = np.flatnonzero(stop > first)
-    first, stop = first[rows], stop[rows]
-    width = int(np.max(stop - first, initial=0))
-    idx = first[:, None] + np.arange(width)
-    return np.minimum(idx, x_in.size - 1), idx < stop[:, None], rows
+    count = np.searchsorted(x_in, x_out + reach, side="right") - first
+    row = np.repeat(np.arange(x_out.size), count)
+    col = np.arange(row.size) + np.repeat(first - (np.cumsum(count) - count), count)
+    return row, col
 
 
-def _wall_factor(xs: np.ndarray, x_out: np.ndarray, g0: float, g1: float, dt: float, mirrors):
+def _wall_factor(y: np.ndarray, x: np.ndarray, g0: float, g1: float, dt: float, mirrors):
     """1 - sum of the pinned bridge's one-wall crossing probabilities
-    e_s = exp(-2(g1 - s*x)(g0 - s*y)/dt) from ``xs[i, j]`` to ``x_out[i]``."""
-    near, *far = (-2.0 * (g1 - s * x_out)[:, None] * (g0 - s * xs) / dt for s in mirrors)
+    e_s = exp(-2(g1 - s*x)(g0 - s*y)/dt) from each ``y`` to its ``x``."""
+    near, *far = (-2.0 * (g1 - s * x) * (g0 - s * y) / dt for s in mirrors)
     if not far:
         return -np.expm1(near)
     # expm1 takes whichever wall's exponent is nearer 0, so the factor keeps
@@ -389,24 +386,24 @@ def _wall_factor(xs: np.ndarray, x_out: np.ndarray, g0: float, g1: float, dt: fl
     return -np.expm1(np.maximum(near, far[0])) - np.exp(np.minimum(near, far[0]))
 
 
-def _kernel_remainder(x_in, idx, x_out, u0: float, u1: float, dt: float, peak: float):
-    """Both-walls remainder of the corridor kernel from ``x_in[idx[i, j]]``
-    to ``x_out[i]``, in units of the free Gaussian's peak: the direct images
+def _kernel_remainder(x_in, col, x, u0: float, u1: float, dt: float, peak: float):
+    """Both-walls remainder of the corridor kernel from each ``x_in[col]``
+    to its ``x``, in units of the free Gaussian's peak: the direct images
     k != 0 less the reflections across j*u, |j| >= 3."""
-    y = x_out[:, None]
-    direct, reflected, gathered = (np.empty(idx.shape) for _ in range(3))
+    direct, reflected, gathered = (np.empty(col.size) for _ in range(3))
     none = np.zeros(())
 
     def gauss(out, logw, mean):
-        # exp(logw - (y - mean)**2 / (2 dt)) on the strip, in place
-        np.subtract(y, np.take(mean, idx, out=gathered, mode="clip"), out=out)
+        # exp(logw - (x - mean)**2 / (2 dt)) on the pairs, in place
+        np.subtract(x, np.take(mean, col, out=gathered), out=out)
         np.square(out, out=out)
         out /= -2.0 * dt
-        out += np.take(logw, idx, out=gathered, mode="clip")
+        out += np.take(logw, col, out=gathered)
         return np.exp(out, out=out)
 
-    # The series uses up each pair before it asks for the next, so all pairs
-    # share the buffers; fresh strips per term cost page faults and peak memory.
+    # The series uses up each image pair before it asks for the next, so all
+    # of them share the buffers; fresh arrays per term cost page faults and
+    # peak memory.
     def image(k, la, mean_a, lb, mean_b):
         return (
             none if k == 0 else gauss(direct, la, mean_a),
@@ -425,22 +422,18 @@ def _banded(
     dt: float,
     mirrors: tuple[float, ...],
 ) -> np.ndarray:
-    """The kernel entry by entry on the band: only the input nodes within
-    the band of each output node are evaluated, padded strip slots carry
-    mass 0, and an output node with no input in its band gets 0.  Each
+    """The kernel entry by entry on the band's (output, input) pairs, summed
+    per output node; an output node with no input in its band gets 0.  Each
     entry is the free Gaussian times :func:`_wall_factor`, plus the
     both-walls remainder on a narrow corridor."""
-    idx, inside, rows = _band_strip(x_in, x_out, dt)
-    x_band = x_out[rows]
-    xs = x_in[idx]
-    gauss = np.exp(-np.square(x_band[:, None] - xs) / (2.0 * dt))
-    kernel = _wall_factor(xs, x_band, g0, g1, dt, mirrors) * gauss
+    row, col = _band_strip(x_in, x_out, dt)
+    x, y = x_out[row], x_in[col]
+    gauss = np.exp(-np.square(x - y) / (2.0 * dt))
+    kernel = _wall_factor(y, x, g0, g1, dt, mirrors) * gauss
     if _narrow(mirrors, g0, g1, dt):
-        kernel += _kernel_remainder(x_in, idx, x_band, g0, g1, dt, float(gauss.max(initial=0.0)))
-    mass = np.where(inside, mass_in[idx], 0.0)
-    out = np.zeros(x_out.size)
-    out[rows] = np.einsum("ij,ij->i", kernel, mass) / math.sqrt(2.0 * math.pi * dt)
-    return out
+        kernel += _kernel_remainder(x_in, col, x, g0, g1, dt, float(gauss.max(initial=0.0)))
+    out = np.bincount(row, kernel * mass_in[col], minlength=x_out.size)
+    return out / math.sqrt(2.0 * math.pi * dt)
 
 
 def _toeplitz_blocks() -> np.ndarray:

@@ -64,9 +64,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: Tolerance on each block's matched probability mass, not on its slope;
-#: slope accuracy follows from the local derivative and is reported through
-#: the solve records.
+#: Tolerance on each block's matched probability mass, not on its slope; the
+#: slope's error is about the mass residual over the local derivative of the
+#: block's crossing mass in the slope.
 PROBABILITY_TOL = 1e-10
 
 #: Bracket endpoints are never expanded beyond this magnitude.

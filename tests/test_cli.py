@@ -215,6 +215,24 @@ class TestVerifyCommand:
         assert code == 1
 
 
+    def test_invalid_target_exits_5_before_simulating(self, tmp_path, capsys, monkeypatch):
+        import ifpt.cli as cli
+
+        run("inverse", "--target", "exp:1", "--T", 1, "--n", 2, "--out", tmp_path)
+        capsys.readouterr()
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran past the failed validation")
+
+        monkeypatch.setattr(cli, "fpt_distribution_table", never)
+        monkeypatch.setattr(cli, "simulate_hitting_times", never)
+        # uniform on [0, 0.5] has density 0 on (0.5, 1]
+        code = run("verify", "--boundary", tmp_path / "boundary.csv", "--target", "uniform:0,0.5",
+                   "--paths", 1000)
+        assert code == 5
+        assert "violations" in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_module_execution(self):
         import subprocess

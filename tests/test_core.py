@@ -179,6 +179,29 @@ class TestTargets:
         expect += 0.5 * (0.6 + f_08) * 0.3
         assert d.cdf_at(0.8) == pytest.approx(expect, abs=1e-15)
 
+    def test_tabulated_cdf_holds_the_last_sample_past_the_table(self):
+        # the density holds fs[-1] = 1 on (0.5, 1], so the cdf gains 0.5 there
+        d = tabulated_target([0.0, 0.5], [0.5, 1.0])
+        assert d.density_at(0.75) == 1.0
+        assert d.cdf_at(0.5) == pytest.approx(0.375, abs=1e-15)
+        assert d.cdf_at(1.0) == pytest.approx(0.875, abs=1e-15)
+        report = validate_target(d, 1.0)
+        assert report.ok, str(report)
+
+    @pytest.mark.parametrize(
+        "ts, fs, message",
+        [
+            ([0.0, 0.5, 1.0], [1.0, 1.0], "matching 1-d arrays"),
+            ([0.0, 0.5, 0.5], [1.0, 1.0, 1.0], "strictly increasing"),
+            ([0.1, 0.5, 1.0], [1.0, 1.0, 1.0], "start at t = 0"),
+            ([0.0, 0.5, 1.0], [1.0, -0.1, 1.0], "finite and nonnegative"),
+        ],
+        ids=["shapes", "unsorted", "start", "negative"],
+    )
+    def test_tabulated_target_rejects_bad_tables(self, ts, fs, message):
+        with pytest.raises(ValueError, match=message):
+            tabulated_target(ts, fs)
+
     def test_kinked_table_between_samples_still_validates(self):
         # kinks at 1/1024 and 2/1024 sit inside the default sample intervals;
         # the validator refines its grid at the table's breakpoints
@@ -251,6 +274,37 @@ class TestBoundaryCsv:
         p.write_text("t,upper,lower\n0,1,-0.5\n0.5,1,-1\n1,1,-1\n")
         with pytest.raises(ValueError):
             read_boundary_csv(p)
+        for text, message in [
+            ("t,upper,lower\n0,1,-inf\n0.5,1\n1,1,-inf\n", r"bad.csv:3: expected 3 columns"),
+            ("t,upper,lower\n0.5,1,-inf\n1,1,-inf\n", "knots must start at t=0"),
+            ("t,upper,lower\n0,1,-inf\n0.5,1,-inf\n0.75,1,-inf\n1,1,-inf\n",
+             "3 blocks is not a power of two"),
+        ]:
+            p.write_text(text)
+            with pytest.raises(ValueError, match=message):
+                read_boundary_csv(p)
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        p = tmp_path / "b.csv"
+        p.write_text("t,upper,lower\n0,1,-inf\n\n0.5,1,-inf\n1,1,-inf\n\n")
+        b = read_boundary_csv(p)
+        assert b.side is BoundarySide.UPPER_ONLY
+        assert np.array_equal(b.grid.knots, [0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,density\n0,1\n1,1\n", "expected header 't,f'"),
+            ("t,f\n0,1\n0.5,1,2\n1,1\n", r"t.csv:3: expected 2 columns"),
+            ("t,f\n0,1\n0.5,one\n1,1\n", r"t.csv:3: could not convert"),
+        ],
+        ids=["header", "columns", "value"],
+    )
+    def test_target_csv_rejects_bad_files(self, tmp_path, text, message):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_target_csv(p)
 
     def test_target_csv_round_trip(self, tmp_path):
         p = tmp_path / "t.csv"

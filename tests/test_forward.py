@@ -341,10 +341,10 @@ class TestBandedPropagation:
     def test_band_is_narrow_at_level_10(self):
         before, dt = self.last_blocks(10)
         after = propagated_subdensity(before, 1.0, 1.0, dt, self.side)
-        idx, inside, rows = _band_strip(before.nodes, after.nodes, dt)
-        assert np.array_equal(rows, np.arange(after.nodes.size))
-        assert inside.any(axis=1).all()
-        assert idx.shape[1] < before.nodes.size * self.band_share
+        row, col = _band_strip(before.nodes, after.nodes, dt)
+        pairs = np.bincount(row, minlength=after.nodes.size)
+        assert pairs.min() > 0
+        assert pairs.max() < before.nodes.size * self.band_share
 
     def test_explicit_entries_do_not_grow_with_level(self, monkeypatch):
         # from n = 10 to 12 the last block's nodes double, while the entries
@@ -354,20 +354,50 @@ class TestBandedPropagation:
         nodes, entries = [], []
         for level in (10, 12):
             before, dt = self.last_blocks(level)
-            strips = []
+            pairs = []
 
             def record(x_in, x_out, dt):
-                idx, inside, rows = _band_strip(x_in, x_out, dt)
-                strips.append(idx.size)
-                return idx, inside, rows
+                row, col = _band_strip(x_in, x_out, dt)
+                pairs.append(row.size)
+                return row, col
 
             with monkeypatch.context() as mp:
                 mp.setattr(fw, "_band_strip", record)
                 after = propagated_subdensity(before, 1.0, 1.0, dt, self.side)
             nodes.append(after.nodes.size)
-            entries.append(sum(strips))
+            entries.append(sum(pairs))
         assert 1.8 < nodes[1] / nodes[0] < 2.2
         assert entries[1] < 1.25 * entries[0]
+
+    def test_wall_factor_evaluates_only_the_band(self, monkeypatch):
+        # each band call evaluates the wall factor once per input node within
+        # 9 standard deviations of an output node, and on no other entry
+        import ifpt.forward as fw
+        from ifpt import construct_boundary
+
+        b = construct_boundary(exponential_target(1.0), 1.0, 8, self.side).boundary
+        calls = []
+
+        def banded(x_in, mass_in, x_out, g0, g1, dt, mirrors, real=fw._banded):
+            calls.append({"x_in": x_in, "x_out": x_out, "dt": dt, "entries": []})
+            return real(x_in, mass_in, x_out, g0, g1, dt, mirrors)
+
+        def wall_factor(y, *args, real=fw._wall_factor):
+            calls[-1]["entries"].append(np.size(y))
+            return real(y, *args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(fw, "_banded", banded)
+            mp.setattr(fw, "_wall_factor", wall_factor)
+            fpt_distribution_table(b)
+        assert len(calls) == b.grid.blocks
+        for c in calls:
+            # written as the band's two comparisons: lattice nodes three
+            # cells apart sit exactly 9 standard deviations apart
+            reach = 9.0 * math.sqrt(c["dt"])
+            x, y = c["x_out"][:, None], c["x_in"][None, :]
+            expect = int(np.count_nonzero((y >= x - reach) & (y <= x + reach)))
+            assert c["entries"] == [expect]
 
 
 class TestBandedCorridor(TestBandedPropagation):
