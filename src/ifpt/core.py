@@ -423,9 +423,26 @@ class SubDensity:
         if s > 1.0 + 1e-9:
             raise ValueError(f"survival probability {s} exceeds 1")
 
-    @property
+    @cached_property
     def survival(self) -> float:
         return float(self.values @ self.weights) if self.values.size else 0.0
+
+    @cached_property
+    def mass(self) -> np.ndarray:
+        """Point masses ``weights * values`` at the nodes."""
+        return _readonly(self.weights * self.values)
+
+    @cached_property
+    def folded(self) -> tuple[np.ndarray, np.ndarray]:
+        """An even state folded onto its nodes x > 0: those nodes, and the
+        masses at x and -x summed onto them.  A state whose lattice cells
+        are not mirrored, -c..c-1 as in every corridor state the forward
+        engine makes, is returned whole: its nodes and :attr:`mass`."""
+        cells = self.cells
+        if cells is None or 2 * cells.first_cell != -cells.count:
+            return self.nodes, self.mass
+        half = self.nodes.size // 2
+        return self.nodes[half:], self.mass[half:] + self.mass[:half][::-1]
 
 
 @dataclass(frozen=True)
@@ -433,7 +450,13 @@ class BlockSolveRecord:
     """Diagnostics for one solved block of the inverse construction.
 
     ``alpha`` is the constant level for block 0 and the segment slope for
-    every later block.
+    every later block.  ``target_mass`` is the mass the block aimed at: the
+    target's block mass less ``carry``, the part of the cdf error at the
+    block's left knot that the block takes back (all of it unless that is
+    more than half the block mass), so ``residual`` is then the cdf error
+    at its right knot.  ``dmass_dslope`` is the derivative of the
+    block's crossing mass in the slope at ``alpha``, NaN where it is not
+    available; |residual| / |dmass_dslope| bounds the slope's error.
     """
 
     block: int
@@ -444,6 +467,8 @@ class BlockSolveRecord:
     bracket_lo: float
     bracket_hi: float
     iterations: int
+    carry: float = 0.0
+    dmass_dslope: float = math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -524,4 +549,7 @@ def read_target_csv(path) -> TargetDistribution:
             fs.append(float(row[1]))
         except ValueError as exc:
             raise ValueError(f"{path}:{i}: {exc}") from None
-    return tabulated_target(np.asarray(ts), np.asarray(fs))
+    try:
+        return tabulated_target(np.asarray(ts), np.asarray(fs))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -92,9 +92,10 @@ makes; a state made outside the engine, without cells, is summed over every
 node.  This halves the propagation and the crossing; the states keep the
 full node set.
 
-Per-block crossing probabilities from a fixed state have closed forms, so
-slope candidates during root finding cost O(nodes) while the full
-propagation runs once per block.  The first knot's density is one
+Per-block crossing probabilities from a fixed state have closed forms, and
+so does their derivative in the block's end value, so slope candidates
+during root finding cost O(nodes) while the full propagation runs once per
+block.  The first knot's density is one
 propagation step from a unit point mass at the origin.
 """
 from __future__ import annotations
@@ -232,13 +233,22 @@ def _narrow(mirrors: tuple[float, ...], g0: float, g1: float, dt: float) -> bool
 # one wall in closed form
 
 
+def _one_wall(x: np.ndarray, g0: float, g1: float, dt: float):
+    """The crossing of the segment g0 -> g1 from ``x`` below it as two
+    nonnegative parts, Phi((x - g1)/sqrt(dt)) and
+    e = exp(-2u(g1 - g0)/dt) * Phi((g1 - g0 - u)/sqrt(dt)) with u = g0 - x,
+    and u itself."""
+    s = math.sqrt(dt)
+    u = g0 - x
+    e = np.exp(-2.0 * u * (g1 - g0) / dt + log_ndtr((g1 - 2.0 * g0 + x) / s))
+    return ndtr((x - g1) / s), e, u
+
+
 def block_crossing_upper(x, g0: float, g1: float, dt: float):
     """P(cross the linear segment g0 -> g1 during one block | start x), as two
     nonnegative parts, so tiny crossing probabilities stay accurate."""
-    x = np.asarray(x, dtype=float)
-    s = math.sqrt(dt)
-    expo = -2.0 * (g0 - x) * (g1 - g0) / dt + log_ndtr((g1 - 2.0 * g0 + x) / s)
-    return np.clip(ndtr((x - g1) / s) + np.exp(expo), 0.0, 1.0)
+    p, e, _ = _one_wall(np.asarray(x, dtype=float), g0, g1, dt)
+    return np.clip(p + e, 0.0, 1.0)
 
 
 def bridge_crossing_upper(x0, x1, g0: float, g1: float, dt: float, out=None):
@@ -323,16 +333,42 @@ def _crossing_remainder(x, u0: float, u1: float, dt: float, peak: float):
     return _image_series(x, u0, u1, dt, image, peak)
 
 
-def _crossing(x: np.ndarray, g0: float, g1: float, dt: float, mirrors: tuple[float, ...]):
+def _crossing(
+    x: np.ndarray,
+    g0: float,
+    g1: float,
+    dt: float,
+    mirrors: tuple[float, ...],
+    with_slope: bool = False,
+):
     """P(touch a wall during one block | start x): the one-wall crossing
     summed over the walls, less the both-walls remainder on a narrow
-    corridor (module docstring)."""
+    corridor (module docstring).
+
+    ``with_slope`` also returns its derivative in g1, node by node, or None
+    where it is not available: on a narrow corridor (the remainder has none
+    here), on a corridor closing within the block, and when a node's
+    crossing rounds above 1 and is clipped.  Each wall's derivative is
+    -2u*e/dt (:func:`crossing_mass`).
+    """
     if -1.0 in mirrors and g1 <= 0.0:
-        return np.ones_like(x)  # the corridor closes within the block
-    c = sum(block_crossing_upper(s * x, g0, g1, dt) for s in mirrors)
-    if _narrow(mirrors, g0, g1, dt):
+        c = np.ones_like(x)  # the corridor closes within the block
+        return (c, None) if with_slope else c
+    c = dc = 0.0
+    for s in mirrors:
+        p, e, u = _one_wall(x if s > 0.0 else -x, g0, g1, dt)
+        c = c + (p + e)
+        if with_slope:
+            dc = dc + u * e
+    narrow = _narrow(mirrors, g0, g1, dt)
+    if narrow:
         c = c - _crossing_remainder(x, g0, g1, dt, float(c.max(initial=0.0)))
-    return np.clip(c, 0.0, 1.0)
+    if not with_slope:
+        return np.clip(c, 0.0, 1.0)
+    # off a narrow corridor every part is nonnegative, so only 1 can clip
+    if narrow or c.max(initial=0.0) > 1.0:
+        return np.clip(c, 0.0, 1.0), None
+    return c, dc * (-2.0 / dt)
 
 
 def block_crossing_symmetric(x, u0: float, u1: float, dt: float):
@@ -390,15 +426,15 @@ def _kernel_remainder(x_in, col, x, u0: float, u1: float, dt: float, peak: float
     """Both-walls remainder of the corridor kernel from each ``x_in[col]``
     to its ``x``, in units of the free Gaussian's peak: the direct images
     k != 0 less the reflections across j*u, |j| >= 3."""
-    direct, reflected, gathered = (np.empty(col.size) for _ in range(3))
+    direct, reflected = np.empty(col.size), np.empty(col.size)
     none = np.zeros(())
 
     def gauss(out, logw, mean):
         # exp(logw - (x - mean)**2 / (2 dt)) on the pairs, in place
-        np.subtract(x, np.take(mean, col, out=gathered), out=out)
+        np.subtract(x, mean[col], out=out)
         np.square(out, out=out)
         out /= -2.0 * dt
-        out += np.take(logw, col, out=gathered)
+        out += logw[col]
         return np.exp(out, out=out)
 
     # The series uses up each image pair before it asks for the next, so all
@@ -579,31 +615,52 @@ def subdensities(b: PiecewiseLinearBoundary) -> Iterator[SubDensity]:
 
 
 def crossing_mass(
-    state: SubDensity, g0: float, g1: float, dt: float, side: BoundarySide
-) -> float:
+    state: SubDensity,
+    g0: float,
+    g1: float,
+    dt: float,
+    side: BoundarySide,
+    *,
+    with_slope: bool = False,
+):
     """Probability of crossing during one block with endpoint boundary values
-    g0 -> g1, given the absorbed state at the block start.
+    g0 -> g1, given the absorbed state at the block start; ``with_slope``
+    returns the pair (mass, d mass / d g1), the derivative NaN where it is
+    not available (a narrow corridor, a node or the mass clipped).
 
     Evaluated as a weighted sum of per-node crossing probabilities, which
     keeps tiny masses accurate in relative terms.  On the corridor the
     crossing probability is even, so it is evaluated at the nodes x > 0
     only, against the mass folded onto them, when the state's lattice cells
-    are mirrored (cells -c..c-1, as in every corridor state the engine
-    makes); a state without cells is summed over every node.
+    are mirrored (:attr:`SubDensity.folded`); a state without cells is
+    summed over every node.  The state's masses and their fold are computed
+    once per state, however many slopes are tried on it.
+
+    The derivative costs one multiply per node.  With u = g0 - x and
+    d = g1 - g0, each wall's crossing is Phi(z1) + e, where
+    z1 = -(u + d)/sqrt(dt), z2 = (d - u)/sqrt(dt) and
+    e = exp(E) * Phi(z2) with E = -2ud/dt.  Differentiating in g1,
+
+        dc/dg1 = -phi(z1)/sqrt(dt) + e * (-2u/dt) + exp(E) * phi(z2)/sqrt(dt),
+
+    and z1**2 - z2**2 = 4ud/dt = -2E makes exp(E) * phi(z2) = phi(z1), so the
+    two Gaussian terms cancel: dc/dg1 = -2u*e/dt.
     """
     if state.nodes.size == 0:
-        return 0.0
-    cells = state.cells
-    mirrored = cells is not None and 2 * cells.first_cell == -cells.count
-    mass = state.weights * state.values
-    half = 0
-    if side is BoundarySide.SYMMETRIC and mirrored:
-        half = state.nodes.size // 2
-        mass = mass[half:] + mass[:half][::-1]
-    value = float(mass @ _crossing(state.nodes[half:], g0, g1, dt, _mirrors(side)))
+        return (0.0, 0.0) if with_slope else 0.0
+    x, mass = state.folded if side is BoundarySide.SYMMETRIC else (state.nodes, state.mass)
+    mirrors = _mirrors(side)
+    if with_slope:
+        c, dc = _crossing(x, g0, g1, dt, mirrors, True)
+    else:
+        c = _crossing(x, g0, g1, dt, mirrors)
+    value = float(mass @ c)
     if value < -_SURVIVAL_SLACK:
         raise NumericalConsistencyError(f"negative block crossing probability {value:g}")
-    return min(max(value, 0.0), state.survival)
+    clipped = min(max(value, 0.0), state.survival)
+    if not with_slope:
+        return clipped
+    return clipped, (math.nan if dc is None or clipped != value else float(mass @ dc))
 
 
 @dataclass(frozen=True)

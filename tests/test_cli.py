@@ -42,6 +42,12 @@ class TestInverseCommand:
         assert diag["schema_version"] == 1
         assert len(diag["blocks"]) == 8
         assert all(abs(blk["residual"]) <= 1e-10 for blk in diag["blocks"])
+        # block 0 solves a level and block 1 starts cold: no slope derivative
+        assert [blk["dmass_dslope"] is None for blk in diag["blocks"]] == [True, True] + [False] * 6
+        assert all(blk["dmass_dslope"] < 0.0 for blk in diag["blocks"][2:])
+        assert diag["blocks"][0]["carry"] == 0.0
+        for prev, blk in zip(diag["blocks"], diag["blocks"][1:]):
+            assert blk["carry"] == prev["residual"]
 
     def test_symmetric_starts_higher(self, tmp_path):
         run("inverse", "--target", "exp:1", "--T", 1, "--n", 2, "--out", tmp_path / "up")
@@ -111,6 +117,13 @@ class TestInverseCommand:
                    "--side", "symmetric", "--out", tmp_path) == 0
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
         assert all(abs(blk["residual"]) <= 1e-10 for blk in diag["blocks"])
+
+    def test_unsorted_target_csv_exits_2_naming_the_file(self, tmp_path, capsys):
+        target = tmp_path / "unsorted.csv"
+        target.write_text("t,f\n0,1\n0.5,1\n0.4,1\n")
+        assert run("inverse", "--target", target, "--T", 1, "--n", 2,
+                   "--out", tmp_path / "out") == 2
+        assert f"{target}: abscissae must be strictly increasing" in capsys.readouterr().err
 
     def test_level_above_cap_exits_2_before_sampling(self, tmp_path, monkeypatch, capsys):
         def no_sampling(*args, **kwargs):

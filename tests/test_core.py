@@ -297,8 +297,9 @@ class TestBoundaryCsv:
             ("t,density\n0,1\n1,1\n", "expected header 't,f'"),
             ("t,f\n0,1\n0.5,1,2\n1,1\n", r"t.csv:3: expected 2 columns"),
             ("t,f\n0,1\n0.5,one\n1,1\n", r"t.csv:3: could not convert"),
+            ("t,f\n0,1\n0.5,1\n0.4,1\n", r"t.csv: abscissae must be strictly increasing"),
         ],
-        ids=["header", "columns", "value"],
+        ids=["header", "columns", "value", "unsorted"],
     )
     def test_target_csv_rejects_bad_files(self, tmp_path, text, message):
         p = tmp_path / "t.csv"

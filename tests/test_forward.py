@@ -162,6 +162,73 @@ class TestBlockCrossing:
         assert got == pytest.approx(expect, abs=1e-10)
 
 
+class TestCrossingSlope:
+    """The crossing's derivative in g1, -2u*e/dt per wall (``crossing_mass``),
+    against central differences of the crossing itself."""
+
+    @staticmethod
+    def _check(x, g0, g1, dt, mirrors):
+        c, dc = _crossing(x, g0, g1, dt, mirrors, True)
+        assert np.array_equal(c, _crossing(x, g0, g1, dt, mirrors))
+        h = 1e-4 * math.sqrt(dt)
+        up = _crossing(x, g0, g1 + h, dt, mirrors)
+        down = _crossing(x, g0, g1 - h, dt, mirrors)
+        central = (up - down) / (2.0 * h)
+        assert np.all(dc <= 0.0)
+        assert np.all(np.abs(central - dc) <= 1e-6 * np.abs(dc) + 1e-9 * np.max(np.abs(dc)))
+
+    @pytest.mark.parametrize("mirrors", [UPPER, CORRIDOR], ids=["upper", "corridor"])
+    def test_against_central_differences(self, mirrors):
+        # slopes up to about 15/sqrt(dt), 4.7e3 at the smallest block
+        rng = np.random.default_rng(21)
+        checked = 0
+        for _ in range(300):
+            dt = float(10.0 ** rng.uniform(-5.0, 0.0))
+            s = math.sqrt(dt)
+            g0 = rng.uniform(1.0, 20.0) * s
+            g1 = g0 + rng.uniform(-3.0, 5.0) * rng.choice([0.1, 1.0, 3.0]) * s
+            if g1 <= 0.0 or _narrow(mirrors, g0, g1, dt):
+                continue
+            low = -min(g0, g1) if mirrors == CORRIDOR else min(g0, g1) - 8.0 * s
+            x = np.linspace(low, min(g0, g1), 41)[1:-1]
+            self._check(x, g0, g1, dt, mirrors)
+            checked += 1
+        assert checked > 150
+
+    def test_corridor_just_wider_than_the_remainder_threshold(self):
+        for u0, u1, dt in _threshold_corridors(20, seed=23, side=1):
+            self._check(np.linspace(-u0, u0, 41)[1:-1], u0, u1, dt, CORRIDOR)
+
+    def test_unavailable_on_a_narrow_or_closing_corridor(self):
+        for u0, u1, dt in _threshold_corridors(20, seed=24, side=-1):
+            x = np.linspace(-u0, u0, 41)[1:-1]
+            c, dc = _crossing(x, u0, u1, dt, CORRIDOR, True)
+            assert dc is None and np.array_equal(c, _crossing(x, u0, u1, dt, CORRIDOR))
+        assert _crossing(np.zeros(3), 0.5, -0.1, 0.01, CORRIDOR, True)[1] is None
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_crossing_mass_slope_on_solved_states(self, side):
+        b, states = _states(side, level=6)
+        g, dt = b.knot_values, b.grid.block_width
+        # from block 8 on: the corridor's first blocks are narrow
+        for m in range(8, b.grid.blocks, 5):
+            s, g0, g1 = states[m - 1], float(g[m]), float(g[m + 1])
+            value, slope = crossing_mass(s, g0, g1, dt, side, with_slope=True)
+            assert value == crossing_mass(s, g0, g1, dt, side)
+            h = 1e-4 * math.sqrt(dt)
+            central = (crossing_mass(s, g0, g1 + h, dt, side)
+                       - crossing_mass(s, g0, g1 - h, dt, side)) / (2.0 * h)
+            assert slope < 0.0 and abs(central - slope) <= 1e-6 * abs(slope)
+
+    def test_crossing_mass_slope_is_nan_on_a_narrow_corridor(self):
+        b = const_boundary(BoundarySide.SYMMETRIC, 6, value=0.2)
+        state, dt = next(subdensities(b)), b.grid.block_width
+        assert _narrow(CORRIDOR, 0.2, 0.21, dt)
+        value, slope = crossing_mass(state, 0.2, 0.21, dt, b.side, with_slope=True)
+        assert value == crossing_mass(state, 0.2, 0.21, dt, b.side) > 0.0
+        assert math.isnan(slope)
+
+
 class TestFptTable:
     def test_constant_boundary_cdf_at_horizon(self):
         b = const_boundary(BoundarySide.UPPER_ONLY, 2)

@@ -147,6 +147,16 @@ class TestSolveBlock:
         assert rec.bracket_lo <= slope <= rec.bracket_hi
         assert rec.iterations <= inv._MAX_ITERATIONS
 
+    def test_carry_takes_back_at_most_half_the_mass(self):
+        d = exponential_target(1.0)
+        state, dt = self._constant_state()
+        mass = block_mass(d, 0.5, 1.0)
+        for carry, aim in ((1e-11, mass - 1e-11), (-1e-11, mass + 1e-11), (mass, 0.5 * mass)):
+            _, rec = solve_block(state, d, 1, UP, boundary_value=1.0, dt=dt, guess=0.0,
+                                 carry=carry)
+            assert rec.target_mass == aim and rec.target_mass + rec.carry == mass
+            assert abs(rec.residual) <= inv._residual_tol(aim)
+
     def test_warm_start_needs_positive_step(self):
         state, dt = self._constant_state()
         with pytest.raises(ValueError):
@@ -231,6 +241,50 @@ class TestConstructBoundary:
         evals = [r.iterations for r in sol.records[1:]]
         assert np.mean(evals) <= 6.0
         assert max(evals) <= 25
+
+    @pytest.mark.parametrize("side", [UP, SYM])
+    def test_newton_blocks_need_few_evaluations(self, side):
+        sol = construct_boundary(exponential_target(1.0), 1.0, 8, side)
+        evals = [r.iterations for r in sol.records[1:]]
+        assert np.mean(evals) <= 3.0
+
+    @pytest.mark.parametrize("side", [UP, SYM])
+    @pytest.mark.parametrize("level", [8, 10])
+    def test_table_cdf_tracks_the_target_at_every_knot(self, side, level):
+        # each block takes back the cdf error left at its left knot, so the
+        # errors do not add up along the solve; 4e-14 allows for the mass
+        # the forward pass drops
+        d = exponential_target(1.0)
+        sol = construct_boundary(d, 1.0, level, side)
+        knots = sol.boundary.grid.knots
+        err = np.abs(sol.table.cdf - np.asarray(d.cdf(knots)))
+        assert np.max(err) <= PROBABILITY_TOL + 4e-14
+
+    @pytest.mark.parametrize("side", [UP, SYM])
+    def test_records_aim_at_the_carried_target(self, side):
+        d = exponential_target(1.0)
+        sol = construct_boundary(d, 1.0, 6, side)
+        knots = sol.boundary.grid.knots
+        for m, r in enumerate(sol.records):
+            assert r.residual == r.achieved - r.target_mass
+            assert r.carry == (0.0 if m == 0 else sol.records[m - 1].residual)
+            assert r.target_mass + r.carry == pytest.approx(
+                block_mass(d, knots[m], knots[m + 1]), rel=1e-15)
+        # blocks 0 (a level) and 1 (a cold start) record no slope derivative,
+        # later ones do unless the corridor is narrow at the solved slope
+        g, dt = sol.boundary.knot_values, sol.boundary.grid.block_width
+        assert math.isnan(sol.records[0].dmass_dslope) and math.isnan(sol.records[1].dmass_dslope)
+        for m, r in enumerate(sol.records[2:], start=2):
+            narrow = fwd._narrow(fwd._mirrors(side), g[m], g[m + 1], dt)
+            assert math.isnan(r.dmass_dslope) if narrow else r.dmass_dslope < 0.0
+
+    def test_narrow_corridor_blocks_solve_without_the_derivative(self):
+        # exp(13.8) drives the corridor narrow, where the crossing has no
+        # slope derivative and every block falls back to regula falsi
+        sol = construct_boundary(exponential_target(13.8), 1.0, 5, SYM)
+        unavailable = [r for r in sol.records[2:] if math.isnan(r.dmass_dslope)]
+        assert len(unavailable) > 20
+        assert all(abs(r.residual) <= inv._residual_tol(r.target_mass) for r in sol.records)
 
     @pytest.mark.parametrize("side", [UP, SYM])
     def test_steep_slopes_warn_and_still_match(self, side, caplog):
