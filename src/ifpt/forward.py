@@ -4,7 +4,7 @@ one-block kernels.
 
 Both sides use one kernel, written as a sum over walls.  Each wall is the
 upper boundary's one-wall form: the bridge-corrected Gaussian for the
-propagation and :func:`block_crossing_upper` for the block crossing.  The
+propagation and :func:`_one_wall` for the block crossing.  The
 upper side has the wall x = g; the symmetric corridor (-g, g) adds its mirror
 x = -g, the same form evaluated at -x (:func:`_mirrors`).  By
 inclusion-exclusion over the two walls,
@@ -125,7 +125,6 @@ __all__ = [
     "crossing_mass",
     "fpt_distribution_table",
     "FptTable",
-    "block_crossing_upper",
     "block_crossing_symmetric",
     "bridge_crossing_upper",
     "bridge_crossing_symmetric",
@@ -244,13 +243,6 @@ def _one_wall(x: np.ndarray, g0: float, g1: float, dt: float):
     return ndtr((x - g1) / s), e, u
 
 
-def block_crossing_upper(x, g0: float, g1: float, dt: float):
-    """P(cross the linear segment g0 -> g1 during one block | start x), as two
-    nonnegative parts, so tiny crossing probabilities stay accurate."""
-    p, e, _ = _one_wall(np.asarray(x, dtype=float), g0, g1, dt)
-    return np.clip(p + e, 0.0, 1.0)
-
-
 def bridge_crossing_upper(x0, x1, g0: float, g1: float, dt: float, out=None):
     """Crossing probability of the pinned bridge below one linear segment,
     exp(-2.0 * (g0 - x0) * (g1 - x1) / dt), written into ``out`` if given."""
@@ -333,38 +325,26 @@ def _crossing_remainder(x, u0: float, u1: float, dt: float, peak: float):
     return _image_series(x, u0, u1, dt, image, peak)
 
 
-def _crossing(
-    x: np.ndarray,
-    g0: float,
-    g1: float,
-    dt: float,
-    mirrors: tuple[float, ...],
-    with_slope: bool = False,
-):
+def _crossing(x: np.ndarray, g0: float, g1: float, dt: float, mirrors: tuple[float, ...]):
     """P(touch a wall during one block | start x): the one-wall crossing
     summed over the walls, less the both-walls remainder on a narrow
-    corridor (module docstring).
+    corridor (module docstring), and its derivative in g1, node by node.
 
-    ``with_slope`` also returns its derivative in g1, node by node, or None
-    where it is not available: on a narrow corridor (the remainder has none
-    here), on a corridor closing within the block, and when a node's
-    crossing rounds above 1 and is clipped.  Each wall's derivative is
-    -2u*e/dt (:func:`crossing_mass`).
+    The derivative is None where it is not available: on a narrow corridor
+    (the remainder has none here), on a corridor closing within the block,
+    and when a node's crossing rounds above 1 and is clipped.  Each wall's
+    derivative is -2u*e/dt (:func:`crossing_mass`).
     """
     if -1.0 in mirrors and g1 <= 0.0:
-        c = np.ones_like(x)  # the corridor closes within the block
-        return (c, None) if with_slope else c
+        return np.ones_like(x), None  # the corridor closes within the block
     c = dc = 0.0
     for s in mirrors:
         p, e, u = _one_wall(x if s > 0.0 else -x, g0, g1, dt)
         c = c + (p + e)
-        if with_slope:
-            dc = dc + u * e
+        dc = dc + u * e
     narrow = _narrow(mirrors, g0, g1, dt)
     if narrow:
         c = c - _crossing_remainder(x, g0, g1, dt, float(c.max(initial=0.0)))
-    if not with_slope:
-        return np.clip(c, 0.0, 1.0)
     # off a narrow corridor every part is nonnegative, so only 1 can clip
     if narrow or c.max(initial=0.0) > 1.0:
         return np.clip(c, 0.0, 1.0), None
@@ -374,7 +354,7 @@ def _crossing(
 def block_crossing_symmetric(x, u0: float, u1: float, dt: float):
     """P(leave the corridor (-u, u), u linear u0 -> u1, during one block |
     start x)."""
-    return _crossing(np.asarray(x, dtype=float), u0, u1, dt, _CORRIDOR)
+    return _crossing(np.asarray(x, dtype=float), u0, u1, dt, _CORRIDOR)[0]
 
 
 def bridge_crossing_symmetric(x0, x1, u0: float, u1: float, dt: float):
@@ -614,19 +594,12 @@ def subdensities(b: PiecewiseLinearBoundary) -> Iterator[SubDensity]:
         yield state
 
 
-def crossing_mass(
-    state: SubDensity,
-    g0: float,
-    g1: float,
-    dt: float,
-    side: BoundarySide,
-    *,
-    with_slope: bool = False,
-):
+def crossing_mass(state: SubDensity, g0: float, g1: float, dt: float, side: BoundarySide):
     """Probability of crossing during one block with endpoint boundary values
-    g0 -> g1, given the absorbed state at the block start; ``with_slope``
-    returns the pair (mass, d mass / d g1), the derivative NaN where it is
-    not available (a narrow corridor, a node or the mass clipped).
+    g0 -> g1, given the absorbed state at the block start, and its
+    derivative in g1: the pair (mass, d mass / d g1), the derivative NaN
+    where it is not available (a narrow corridor, a node or the mass
+    clipped).
 
     Evaluated as a weighted sum of per-node crossing probabilities, which
     keeps tiny masses accurate in relative terms.  On the corridor the
@@ -636,7 +609,7 @@ def crossing_mass(
     summed over every node.  The state's masses and their fold are computed
     once per state, however many slopes are tried on it.
 
-    The derivative costs one multiply per node.  With u = g0 - x and
+    The derivative costs one multiply-add per node.  With u = g0 - x and
     d = g1 - g0, each wall's crossing is Phi(z1) + e, where
     z1 = -(u + d)/sqrt(dt), z2 = (d - u)/sqrt(dt) and
     e = exp(E) * Phi(z2) with E = -2ud/dt.  Differentiating in g1,
@@ -647,19 +620,13 @@ def crossing_mass(
     two Gaussian terms cancel: dc/dg1 = -2u*e/dt.
     """
     if state.nodes.size == 0:
-        return (0.0, 0.0) if with_slope else 0.0
+        return 0.0, 0.0
     x, mass = state.folded if side is BoundarySide.SYMMETRIC else (state.nodes, state.mass)
-    mirrors = _mirrors(side)
-    if with_slope:
-        c, dc = _crossing(x, g0, g1, dt, mirrors, True)
-    else:
-        c = _crossing(x, g0, g1, dt, mirrors)
+    c, dc = _crossing(x, g0, g1, dt, _mirrors(side))
     value = float(mass @ c)
     if value < -_SURVIVAL_SLACK:
         raise NumericalConsistencyError(f"negative block crossing probability {value:g}")
     clipped = min(max(value, 0.0), state.survival)
-    if not with_slope:
-        return clipped
     return clipped, (math.nan if dc is None or clipped != value else float(mass @ dc))
 
 

@@ -4,21 +4,21 @@ block matches the target mass, then the absorbed density is pushed forward
 and the next block is solved.
 
 Each block's objective is continuous and strictly decreasing in the slope,
-so it has a unique root.  Block 1 starts cold from a bracket of
-±``_BRACKET_HALFWIDTH`` and finds it by safeguarded regula falsi (Illinois
-variant; Dowell & Jarratt, BIT 11, 1971).  Block m >= 2 takes Newton steps
-from the slope extrapolated linearly from blocks m-1 and m-2 (block 2 from
-block 1's): each crossing-mass evaluation returns the derivative in the
-slope from the same per-node pass (:func:`crossing_mass`).  A smooth
-boundary needs few evaluations per block, fewer the finer the grid: for
-exp(1) the blocks after the first take 3.6, 2.4, 2.2 and 1.9 on average at
-n = 5, 7, 8 and 10 on the upper side (4.0, 2.5, 2.3 and 1.9 on the
-corridor), against 6.1, 4.6, 3.8 and 3.2 by regula falsi from block m-1's
-slope.  Where the derivative is not available (a narrow corridor, whose
-both-walls remainder has none, or a crossing that rounds above 1), or a step
-would leave the bracket known so far or meets a derivative that is not
-negative, the block falls back to bracket growth and regula falsi, seeded
-with the slopes already evaluated.
+so it has a unique root, and one search finds it for every slope block:
+Newton steps from a start slope, each crossing-mass evaluation returning the
+derivative in the slope from the same per-node pass
+(:func:`crossing_mass`).  Blocks 1 and 2 start from slope 0, since block 0
+is a level and leaves no slope history; block m >= 3 starts from the slope
+extrapolated linearly from blocks m-1 and m-2.  A smooth boundary needs few
+evaluations per block, fewer the finer the grid: for exp(1) the blocks
+after the first take 3.35, 2.37, 2.18 and 1.85 on average at n = 5, 7, 8
+and 10 on the upper side (3.97, 2.50, 2.23 and 1.87 on the corridor).
+Where the derivative is not available (a narrow corridor, whose both-walls
+remainder has none, or a crossing that rounds above 1), or a step would
+leave the bracket known so far or meets a derivative that is not negative,
+the block falls back to bracket growth and safeguarded regula falsi
+(Illinois variant; Dowell & Jarratt, BIT 11, 1971), seeded with the slopes
+already evaluated.
 
 The matched masses are cumulative: each block aims at its target mass less
 the cdf error left at its left knot (the ``carry``), so its residual is the
@@ -88,15 +88,14 @@ PROBABILITY_TOL = 1e-10
 #: Bracket endpoints are never expanded beyond this magnitude.
 _BRACKET_LIMIT = 2.0**50
 
-#: Smallest first step of a warm-started slope bracket.
+#: Smallest first step of an extrapolated start's slope bracket.
 _STEP_FLOOR = 0.01
 
 #: Relative bracket width at which the root is considered pinned.
 _WIDTH_TOL = 1e-13
 
-#: Cold-start bracket: the first block's level search starts here, and block
-#: 1's slope bracket is ±_BRACKET_HALFWIDTH.  Later blocks start from the
-#: previous slope.
+#: The first block's level search starts here, and a slope search without a
+#: slope history seeks its missing bracket end this far from its start.
 _BRACKET_HALFWIDTH = 4.0
 
 #: Factor by which every bracket grows until it holds the root.
@@ -257,8 +256,8 @@ def solve_block(
     boundary_value: float,
     *,
     dt: float,
-    guess: float | None = None,
-    step: float = _STEP_FLOOR,
+    guess: float = 0.0,
+    step: float = _BRACKET_HALFWIDTH,
     carry: float = 0.0,
 ) -> tuple[float, BlockSolveRecord]:
     """Solve the slope of block m given the absorbed state at its left knot.
@@ -271,19 +270,17 @@ def solve_block(
     the error at its right knot; at most half the target mass is taken
     back, so the aim stays positive.
 
-    Without a ``guess`` the slope bracket starts at ±``_BRACKET_HALFWIDTH``
-    and regula falsi finds the root.  With one, Newton steps start at
-    ``guess``, each evaluation returning the crossing mass and its slope
-    derivative; a step that would leave the bracket known so far, or a
-    derivative that is unavailable or not negative, hands over to regula
-    falsi, seeded with the points already evaluated (the missing end of the
-    bracket is sought ``step`` away).  Either way the bracket grows outward
-    by ``_BRACKET_GROWTH`` until it holds the root.
+    Newton steps start at ``guess``, each evaluation returning the crossing
+    mass and its slope derivative.  A step that would leave the bracket
+    known so far, or a derivative that is unavailable or not negative,
+    hands over to regula falsi, seeded with the points already evaluated:
+    the missing end of the bracket is sought ``step`` away, and the bracket
+    grows outward by ``_BRACKET_GROWTH`` until it holds the root.
     """
     if m < 1:
         raise ValueError("solve_block handles blocks m >= 1")
-    if guess is not None and not (math.isfinite(guess) and 0.0 < step < math.inf):
-        raise ValueError("a warm start needs a finite guess and a finite positive step")
+    if not (math.isfinite(guess) and 0.0 < step < math.inf):
+        raise ValueError("the slope search needs a finite guess and a finite positive step")
     mass = block_mass(d, p.time, p.time + dt)
     survival = p.survival
     if mass <= 0.0:
@@ -298,20 +295,11 @@ def solve_block(
     target = mass - carry
     g0 = boundary_value
 
-    if guess is None:
-        def value(a: float) -> float:
-            return crossing_mass(p, g0, g0 + a * dt, dt, side)
-
-        lo, hi = -_BRACKET_HALFWIDTH, _BRACKET_HALFWIDTH
-        lo, hi, f_lo, f_hi, iters = _grow(value, target, 0.0, lo, hi, value(lo), value(hi), 2, m)
-        alpha, rec = _refine_root(value, target, lo, hi, f_lo, f_hi, iters, m)
-        return alpha, replace(rec, carry=carry)
-
     slope_derivative = math.nan  # d mass / d slope at the last slope evaluated
 
     def fun(a: float) -> float:
         nonlocal slope_derivative
-        f, df_dg1 = crossing_mass(p, g0, g0 + a * dt, dt, side, with_slope=True)
+        f, df_dg1 = crossing_mass(p, g0, g0 + a * dt, dt, side)
         slope_derivative = df_dg1 * dt
         return f
 
@@ -456,17 +444,14 @@ def construct_boundary(
     state = initial_subdensity(alpha0, alpha0, dt, side)
     survivals = [state.survival]
 
-    # Newton starts block 2 from block 1's slope and block m >= 3 from the
-    # slope extrapolated linearly from blocks m-1 and m-2.  A missing
-    # bracket end is sought twice the last slope change away (block 1's
-    # change is taken from slope 0).  Each block aims at its target mass
-    # less the cdf error left at its left knot.
+    # Blocks 1 and 2 start from solve_block's defaults: block 0 is a level,
+    # so neither has two slopes to extrapolate from.  Block m >= 3 starts
+    # from the slope extrapolated linearly from blocks m-1 and m-2, and a
+    # missing bracket end is sought twice their slope change away.  Each
+    # block aims at its target mass less the cdf error left at its left knot.
     carry = rec.residual
-    prev = slope = 0.0
+    guess, step = 0.0, _BRACKET_HALFWIDTH
     for m in range(1, grid.blocks):
-        guess = None if m == 1 else slope if m == 2 else 2.0 * slope - prev
-        step = max(2.0 * abs(slope - prev), _STEP_FLOOR)
-        prev = slope
         try:
             slope, rec = solve_block(
                 state, d, m, side, boundary_value=float(knots[m]), dt=dt,
@@ -479,6 +464,9 @@ def construct_boundary(
             raise
         records.append(rec)
         carry += rec.residual - rec.carry
+        if m >= 2:
+            guess, step = 2.0 * slope - prev, max(2.0 * abs(slope - prev), _STEP_FLOOR)
+        prev = slope
         knots[m + 1] = knots[m] + slope * dt
         state = propagated_subdensity(state, float(knots[m]), float(knots[m + 1]), dt, side)
         survivals.append(state.survival)

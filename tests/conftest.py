@@ -34,7 +34,7 @@ def block_crossing_mass(b: PiecewiseLinearBoundary, m: int) -> float:
     ``crossing_mass`` on the state at knot m, the m-th from ``subdensities``."""
     state = next(itertools.islice(subdensities(b), m - 1, None))
     g0, dt = float(b.knot_values[m]), b.grid.block_width
-    return crossing_mass(state, g0, g0 + float(b.slopes[m]) * dt, dt, b.side)
+    return crossing_mass(state, g0, g0 + float(b.slopes[m]) * dt, dt, b.side)[0]
 
 
 @pytest.fixture

@@ -154,8 +154,8 @@ def test_05_monotonicity_suites():
         state, g0, dt, side = states[int(rng.integers(0, len(states)))]
         a = rng.uniform(-3.0, 2.5)
         b_slope = a + rng.uniform(0.05, 2.0)
-        hi = crossing_mass(state, g0, g0 + a * dt, dt, side)
-        lo = crossing_mass(state, g0, g0 + b_slope * dt, dt, side)
+        hi = crossing_mass(state, g0, g0 + a * dt, dt, side)[0]
+        lo = crossing_mass(state, g0, g0 + b_slope * dt, dt, side)[0]
         if not hi > lo:
             slope_violations += 1
     _report(

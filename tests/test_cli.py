@@ -42,9 +42,9 @@ class TestInverseCommand:
         assert diag["schema_version"] == 1
         assert len(diag["blocks"]) == 8
         assert all(abs(blk["residual"]) <= 1e-10 for blk in diag["blocks"])
-        # block 0 solves a level and block 1 starts cold: no slope derivative
-        assert [blk["dmass_dslope"] is None for blk in diag["blocks"]] == [True, True] + [False] * 6
-        assert all(blk["dmass_dslope"] < 0.0 for blk in diag["blocks"][2:])
+        # block 0 solves a level: no slope derivative
+        assert [blk["dmass_dslope"] is None for blk in diag["blocks"]] == [True] + [False] * 7
+        assert all(blk["dmass_dslope"] < 0.0 for blk in diag["blocks"][1:])
         assert diag["blocks"][0]["carry"] == 0.0
         for prev, blk in zip(diag["blocks"], diag["blocks"][1:]):
             assert blk["carry"] == prev["residual"]

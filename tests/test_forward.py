@@ -146,7 +146,7 @@ class TestBlockCrossing:
     def _block_one(level, a):
         b = const_boundary(BoundarySide.UPPER_ONLY, level)
         state, dt = next(subdensities(b)), b.grid.block_width
-        return state, crossing_mass(state, 1.0, 1.0 + a * dt, dt, b.side)
+        return state, crossing_mass(state, 1.0, 1.0 + a * dt, dt, b.side)[0]
 
     def test_escaping_boundary_kills_crossing(self):
         _, got = self._block_one(2, 1e6)
@@ -168,11 +168,11 @@ class TestCrossingSlope:
 
     @staticmethod
     def _check(x, g0, g1, dt, mirrors):
-        c, dc = _crossing(x, g0, g1, dt, mirrors, True)
-        assert np.array_equal(c, _crossing(x, g0, g1, dt, mirrors))
+        c, dc = _crossing(x, g0, g1, dt, mirrors)
+        assert np.all((0.0 <= c) & (c <= 1.0))
         h = 1e-4 * math.sqrt(dt)
-        up = _crossing(x, g0, g1 + h, dt, mirrors)
-        down = _crossing(x, g0, g1 - h, dt, mirrors)
+        up = _crossing(x, g0, g1 + h, dt, mirrors)[0]
+        down = _crossing(x, g0, g1 - h, dt, mirrors)[0]
         central = (up - down) / (2.0 * h)
         assert np.all(dc <= 0.0)
         assert np.all(np.abs(central - dc) <= 1e-6 * np.abs(dc) + 1e-9 * np.max(np.abs(dc)))
@@ -202,9 +202,10 @@ class TestCrossingSlope:
     def test_unavailable_on_a_narrow_or_closing_corridor(self):
         for u0, u1, dt in _threshold_corridors(20, seed=24, side=-1):
             x = np.linspace(-u0, u0, 41)[1:-1]
-            c, dc = _crossing(x, u0, u1, dt, CORRIDOR, True)
-            assert dc is None and np.array_equal(c, _crossing(x, u0, u1, dt, CORRIDOR))
-        assert _crossing(np.zeros(3), 0.5, -0.1, 0.01, CORRIDOR, True)[1] is None
+            c, dc = _crossing(x, u0, u1, dt, CORRIDOR)
+            assert dc is None and np.all((0.0 <= c) & (c <= 1.0))
+        c, dc = _crossing(np.zeros(3), 0.5, -0.1, 0.01, CORRIDOR)
+        assert dc is None and np.array_equal(c, np.ones(3))
 
     @pytest.mark.parametrize("side", SIDES)
     def test_crossing_mass_slope_on_solved_states(self, side):
@@ -213,20 +214,35 @@ class TestCrossingSlope:
         # from block 8 on: the corridor's first blocks are narrow
         for m in range(8, b.grid.blocks, 5):
             s, g0, g1 = states[m - 1], float(g[m]), float(g[m + 1])
-            value, slope = crossing_mass(s, g0, g1, dt, side, with_slope=True)
-            assert value == crossing_mass(s, g0, g1, dt, side)
+            value, slope = crossing_mass(s, g0, g1, dt, side)
+            assert 0.0 < value < s.survival
             h = 1e-4 * math.sqrt(dt)
-            central = (crossing_mass(s, g0, g1 + h, dt, side)
-                       - crossing_mass(s, g0, g1 - h, dt, side)) / (2.0 * h)
+            central = (crossing_mass(s, g0, g1 + h, dt, side)[0]
+                       - crossing_mass(s, g0, g1 - h, dt, side)[0]) / (2.0 * h)
             assert slope < 0.0 and abs(central - slope) <= 1e-6 * abs(slope)
 
     def test_crossing_mass_slope_is_nan_on_a_narrow_corridor(self):
         b = const_boundary(BoundarySide.SYMMETRIC, 6, value=0.2)
         state, dt = next(subdensities(b)), b.grid.block_width
         assert _narrow(CORRIDOR, 0.2, 0.21, dt)
-        value, slope = crossing_mass(state, 0.2, 0.21, dt, b.side, with_slope=True)
-        assert value == crossing_mass(state, 0.2, 0.21, dt, b.side) > 0.0
+        value, slope = crossing_mass(state, 0.2, 0.21, dt, b.side)
+        assert 0.0 < value < state.survival
         assert math.isnan(slope)
+
+    def test_crossing_mass_slope_is_nan_when_clipped(self, monkeypatch):
+        # a node above the wall crosses with probability about 2, clipped to 1
+        above = SubDensity(time=0.5, nodes=np.array([0.2, 0.7]), weights=np.full(2, 0.5),
+                           values=np.ones(2))
+        value, slope = crossing_mass(above, 0.5, 0.5, 0.01, BoundarySide.UPPER_ONLY)
+        assert 0.5 < value < 0.51 and math.isnan(slope)
+        # a mass above the survival is clipped to it
+        import ifpt.forward as fw
+
+        b = const_boundary(BoundarySide.UPPER_ONLY, 2, value=0.5)
+        state = next(subdensities(b))
+        monkeypatch.setattr(fw, "_crossing", lambda x, *a: (np.full(x.size, 2.0), np.ones(x.size)))
+        value, slope = crossing_mass(state, 0.5, 0.5, b.grid.block_width, b.side)
+        assert value == state.survival and math.isnan(slope)
 
 
 class TestFptTable:
@@ -712,7 +728,7 @@ class TestCorridorFold:
 
     def test_folded_crossing_matches_the_full_sum(self, corridors):
         def full_sum(s, g0, g1, dt):
-            value = float((s.weights * s.values) @ _crossing(s.nodes, g0, g1, dt, CORRIDOR))
+            value = float((s.weights * s.values) @ _crossing(s.nodes, g0, g1, dt, CORRIDOR)[0])
             return min(max(value, 0.0), s.survival)
 
         checked = 0
@@ -726,7 +742,7 @@ class TestCorridorFold:
                     r = records[m]
                     ends += [g0 + r.bracket_lo * dt, g0 + r.bracket_hi * dt]
                 for g1 in ends:
-                    got = crossing_mass(s, g0, g1, dt, b.side)
+                    got = crossing_mass(s, g0, g1, dt, b.side)[0]
                     assert abs(got - full_sum(s, g0, g1, dt)) <= 1e-15 * got
                     checked += 1
         assert checked > 3000
@@ -736,7 +752,7 @@ class TestCorridorFold:
             time=0.5, nodes=np.array([-0.1, 0.2, 0.3, 0.5]), weights=np.full(4, 0.1),
             values=np.ones(4),
         )
-        got = crossing_mass(lopsided, 0.6, 0.55, 0.01, BoundarySide.SYMMETRIC)
+        got = crossing_mass(lopsided, 0.6, 0.55, 0.01, BoundarySide.SYMMETRIC)[0]
         assert got == full_sum(lopsided, 0.6, 0.55, 0.01) > 0.0
 
 
@@ -759,7 +775,7 @@ class TestConsistencyGuards:
 
         b = const_boundary(BoundarySide.UPPER_ONLY, 2, value=0.5)
         state = next(subdensities(b))
-        monkeypatch.setattr(fw, "_crossing", lambda x, *a: np.full(x.size, -1.0))
+        monkeypatch.setattr(fw, "_crossing", lambda x, *a: (np.full(x.size, -1.0), None))
         with pytest.raises(NumericalConsistencyError, match="negative block crossing probability"):
             crossing_mass(state, 0.5, 0.5, b.grid.block_width, b.side)
 
@@ -772,7 +788,7 @@ class TestConsistencyGuards:
         assert all(s.nodes.size > 0 for s in states[:3])
         for s in states[3:]:
             assert s.nodes.size == 0 and s.survival == 0.0
-            assert crossing_mass(s, -3.0, -4.0, grid.block_width, b.side) == 0.0
+            assert crossing_mass(s, -3.0, -4.0, grid.block_width, b.side) == (0.0, 0.0)
         assert fpt_distribution_table(b).cdf[-1] == 1.0
 
 

@@ -168,7 +168,7 @@ class TestSolveBlock:
         state, dt = self._constant_state()
         slope, rec = solve_block(state, d, 1, UP, boundary_value=1.0, dt=dt)
         lo, mid, hi = rec.bracket_lo, 0.5 * (rec.bracket_lo + rec.bracket_hi), rec.bracket_hi
-        f = [crossing_mass(state, 1.0, 1.0 + a * dt, dt, UP) for a in (lo, mid, hi)]
+        f = [crossing_mass(state, 1.0, 1.0 + a * dt, dt, UP)[0] for a in (lo, mid, hi)]
         assert f[0] > f[1] > f[2]
 
 
@@ -197,7 +197,7 @@ class TestConvergenceFailures:
     @pytest.mark.parametrize("mass, way", [(0.5, "upward"), (0.0, "downward")])
     def test_slope_bracket_diverges(self, monkeypatch, mass, way):
         state, d, _ = self.block_one()
-        monkeypatch.setattr(inv, "crossing_mass", lambda *args: mass)
+        monkeypatch.setattr(inv, "crossing_mass", lambda *args: (mass, math.nan))
         with pytest.raises(ConvergenceError, match=f"slope bracket for block 1 diverged {way}$"):
             solve_block(state, d, 1, UP, boundary_value=1.0, dt=0.5)
 
@@ -207,7 +207,7 @@ class TestConvergenceFailures:
         state, d, target = self.block_one()
 
         def step(p, g0, g1, dt, side):
-            return target + (1e-6 if g1 < g0 else -1e-6)
+            return target + (1e-6 if g1 < g0 else -1e-6), math.nan
 
         monkeypatch.setattr(inv, "crossing_mass", step)
         with pytest.raises(ConvergenceError, match=r"bracket collapsed but residual -?1e-06 "
@@ -248,6 +248,17 @@ class TestConstructBoundary:
         evals = [r.iterations for r in sol.records[1:]]
         assert np.mean(evals) <= 3.0
 
+    @pytest.mark.parametrize("level", [8, 10])
+    def test_first_slope_blocks_start_near_their_roots(self, level):
+        # blocks 1 and 2 start from slope 0: block 1's slope lies far out on
+        # the flat tail of block 2's crossing mass, where a Newton step
+        # overshoots
+        d = exponential_target(1.0)
+        up = construct_boundary(d, 1.0, level, UP).records
+        sym = construct_boundary(d, 1.0, level, SYM).records
+        assert up[1].iterations <= 8 and up[2].iterations <= 6
+        assert sym[2].iterations <= 10
+
     @pytest.mark.parametrize("side", [UP, SYM])
     @pytest.mark.parametrize("level", [8, 10])
     def test_table_cdf_tracks_the_target_at_every_knot(self, side, level):
@@ -270,11 +281,11 @@ class TestConstructBoundary:
             assert r.carry == (0.0 if m == 0 else sol.records[m - 1].residual)
             assert r.target_mass + r.carry == pytest.approx(
                 block_mass(d, knots[m], knots[m + 1]), rel=1e-15)
-        # blocks 0 (a level) and 1 (a cold start) record no slope derivative,
-        # later ones do unless the corridor is narrow at the solved slope
+        # block 0 (a level) records no slope derivative, later blocks do
+        # unless the corridor is narrow at the solved slope
         g, dt = sol.boundary.knot_values, sol.boundary.grid.block_width
-        assert math.isnan(sol.records[0].dmass_dslope) and math.isnan(sol.records[1].dmass_dslope)
-        for m, r in enumerate(sol.records[2:], start=2):
+        assert math.isnan(sol.records[0].dmass_dslope)
+        for m, r in enumerate(sol.records[1:], start=1):
             narrow = fwd._narrow(fwd._mirrors(side), g[m], g[m + 1], dt)
             assert math.isnan(r.dmass_dslope) if narrow else r.dmass_dslope < 0.0
 
