@@ -34,6 +34,10 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: Hard cap on series terms; tails decay like exp(-c * r**2 / t).
 SERIES_MAX_TERMS = 64
 
+#: The corridor's constant-boundary cdf sums its reflection series where
+#: x / sqrt(t) is at least this, and its spectral series below.
+_REFLECTION_MIN = 0.8
+
 
 def _phi(z):
     return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
@@ -125,7 +129,7 @@ def _symmetric_constant_cdf_scalar(x: float, t: float, tol: float = 1e-14) -> fl
     if t == 0.0:
         return 0.0
     a = x / math.sqrt(t)
-    if a >= 0.8:
+    if a >= _REFLECTION_MIN:
         # reflection form: crossing probability as an alternating Phi series,
         # accurate relative to the (possibly tiny) result
         total = 0.0

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -97,7 +98,9 @@ class DyadicGrid:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if not (1 <= int(self.level) <= MAX_LEVEL):
+        if not isinstance(self.level, numbers.Integral):
+            raise ValueError(f"level must be an integer, got {self.level!r}")
+        if not 1 <= self.level <= MAX_LEVEL:
             raise ValueError(f"level must be in [1, {MAX_LEVEL}], got {self.level}")
 
     @property
@@ -455,8 +458,11 @@ class BlockSolveRecord:
     block's left knot that the block takes back (all of it unless that is
     more than half the block mass), so ``residual`` is then the cdf error
     at its right knot.  ``dmass_dslope`` is the derivative of the
-    block's crossing mass in the slope at ``alpha``, NaN where it is not
-    available; |residual| / |dmass_dslope| bounds the slope's error.
+    block's crossing mass in the slope at ``alpha``, NaN for block 0 and
+    where it is not available; |residual| / |dmass_dslope| bounds the
+    slope's error.  For every block, ``bracket_lo`` and ``bracket_hi`` are
+    the smallest and largest points the root search evaluated and
+    ``iterations`` is the number of its evaluations.
     """
 
     block: int

@@ -1,24 +1,22 @@
 """Boundary construction for a prescribed hitting-time law: block by block,
-the segment slope is solved so that the realized crossing probability of the
-block matches the target mass, then the absorbed density is pushed forward
-and the next block is solved.
+the block's unknown (block 0's constant level, every later block's slope)
+is solved so that the block's crossing probability matches the target
+mass, then the absorbed density is pushed forward and the next block is
+solved.
 
-Each block's objective is continuous and strictly decreasing in the slope,
-so it has a unique root, and one search finds it for every slope block:
-Newton steps from a start slope, each crossing-mass evaluation returning the
-derivative in the slope from the same per-node pass
-(:func:`crossing_mass`).  Blocks 1 and 2 start from slope 0, since block 0
-is a level and leaves no slope history; block m >= 3 starts from the slope
-extrapolated linearly from blocks m-1 and m-2.  A smooth boundary needs few
-evaluations per block, fewer the finer the grid: for exp(1) the blocks
-after the first take 3.35, 2.37, 2.18 and 1.85 on average at n = 5, 7, 8
-and 10 on the upper side (3.97, 2.50, 2.23 and 1.87 on the corridor).
-Where the derivative is not available (a narrow corridor, whose both-walls
-remainder has none, or a crossing that rounds above 1), or a step would
-leave the bracket known so far or meets a derivative that is not negative,
-the block falls back to bracket growth and safeguarded regula falsi
-(Illinois variant; Dowell & Jarratt, BIT 11, 1971), seeded with the slopes
-already evaluated.
+Each block's crossing mass is continuous and strictly decreasing in its
+unknown, so it has a unique root, and one search finds it for every block
+(:func:`_root_search`): Newton steps while the objective returns a negative
+derivative, then bracket growth and safeguarded regula falsi (Illinois
+variant; Dowell & Jarratt, BIT 11, 1971) from the points already evaluated.
+Block 0 starts from the level at which the constant-boundary cdf's leading
+reflection term carries the target mass.  A slope's crossing-mass
+evaluation returns its derivative from the same per-node pass
+(:func:`crossing_mass`), except on a narrow corridor or where a crossing
+rounds above 1.  Blocks 1 and 2 start from slope 0; block m >= 3 from the
+slope extrapolated linearly from blocks m-1 and m-2.  For exp(1) the
+blocks take 3.28, 2.36, 2.18 and 1.86 evaluations on average at n = 5, 7, 8
+and 10 on the upper side (3.88, 2.48, 2.22 and 1.88 on the corridor).
 
 The matched masses are cumulative: each block aims at its target mass less
 the cdf error left at its left knot (the ``carry``), so its residual is the
@@ -36,12 +34,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import ndtri
 
-from .closed_form import constant_boundary_cdf
+from .closed_form import _REFLECTION_MIN, constant_boundary_cdf
 from .core import (
     BlockSolveRecord,
     BoundarySide,
@@ -94,8 +93,8 @@ _STEP_FLOOR = 0.01
 #: Relative bracket width at which the root is considered pinned.
 _WIDTH_TOL = 1e-13
 
-#: The first block's level search starts here, and a slope search without a
-#: slope history seeks its missing bracket end this far from its start.
+#: A slope search without a slope history seeks its missing bracket end this
+#: far from its start.
 _BRACKET_HALFWIDTH = 4.0
 
 #: Factor by which every bracket grows until it holds the root.
@@ -115,67 +114,92 @@ def _residual_tol(target: float) -> float:
     return min(PROBABILITY_TOL, max(1e-3 * target, 1e-300))
 
 
-def _refine_root(
-    fun: Callable[[float], float],
+def _root_search(
+    objective: Callable[[float], tuple[float, float]],
     target: float,
-    lo: float,
-    hi: float,
-    f_lo: float,
-    f_hi: float,
-    iters: int,
+    start: float,
+    step: float,
     block: int,
+    carry: float = 0.0,
 ) -> tuple[float, BlockSolveRecord]:
-    """Locate the root of the decreasing ``fun`` inside a valid bracket, and
-    record block ``block``'s solve, ``iters`` evaluations spent on bracketing.
+    """Find the root of ``objective(a)[0] = target`` for block ``block``,
+    where the objective is strictly decreasing in ``a`` and also returns its
+    derivative in ``a``, NaN where it has none.
 
-    Regula falsi with the Illinois modification: every step is the secant
-    through the two bracket ends, and an end kept twice in a row has its
-    residual halved, so both ends close in.  A secant candidate outside the
-    open bracket is replaced by the midpoint.
+    Newton steps run from ``start`` while the derivative is negative and
+    each step lands inside the bracket known so far.  Then a missing
+    bracket end is sought ``step``, 2·``step``, 4·``step``, ... away from the
+    known one, and safeguarded regula falsi (Illinois variant) closes the
+    bracket: every step is the secant through the two ends, an end kept
+    twice in a row has its residual halved, and a secant outside the open
+    bracket is replaced by the midpoint.
     """
     tol = _residual_tol(target)
-    bracket = (lo, hi)
-    r_lo, r_hi = f_lo - target, f_hi - target
-    kept = 0  # +1 when lo survived the last step, -1 when hi did
-    f_c = math.nan
-    while iters < _MAX_ITERATIONS:
-        width = hi - lo
-        cand = 0.5 * (lo + hi)
-        if r_lo > r_hi:
-            sec = lo + r_lo * width / (r_lo - r_hi)
-            if lo < sec < hi:
-                cand = sec
-        f_c = fun(cand)
-        iters += 1
-        if abs(f_c - target) <= tol or width <= _WIDTH_TOL * max(1.0, abs(lo), abs(hi)):
-            if abs(f_c - target) > PROBABILITY_TOL:
+    lo, hi, r_lo, r_hi = -math.inf, math.inf, math.nan, math.nan
+    least = most = a = start  # the smallest and largest points evaluated
+    newton, pinned, center, reach = True, False, math.nan, step
+    kept = None  # from the first secant step: +1 when lo survived the last, -1 when hi did
+    for evals in range(1, _MAX_ITERATIONS + 1):
+        f, derivative = objective(a)
+        r = f - target
+        least, most = min(least, a), max(most, a)
+        if abs(r) <= tol or pinned:
+            if abs(r) > PROBABILITY_TOL:
                 raise ConvergenceError(
-                    f"bracket collapsed but residual {f_c - target:.3g} exceeds "
+                    f"bracket collapsed but residual {r:.3g} exceeds "
                     f"the probability tolerance {PROBABILITY_TOL:g}"
                 )
-            return cand, BlockSolveRecord(
+            return a, BlockSolveRecord(
                 block=block,
-                alpha=cand,
+                alpha=a,
                 target_mass=target,
-                achieved=f_c,
-                residual=f_c - target,
-                bracket_lo=bracket[0],
-                bracket_hi=bracket[1],
-                iterations=iters,
+                achieved=f,
+                residual=r,
+                bracket_lo=least,
+                bracket_hi=most,
+                iterations=evals,
+                carry=carry,
+                # block 0's unknown is a level, not a slope
+                dmass_dslope=derivative if block else math.nan,
             )
-        if f_c > target:
-            lo, r_lo = cand, f_c - target
-            if kept < 0:
-                r_hi *= 0.5
-            kept = -1
+        if r > 0.0:
+            lo, r_lo = a, r
+            if kept is not None:
+                if kept < 0:
+                    r_hi *= 0.5
+                kept = -1
         else:
-            hi, r_hi = cand, f_c - target
-            if kept > 0:
-                r_lo *= 0.5
-            kept = 1
+            hi, r_hi = a, r
+            if kept is not None:
+                if kept > 0:
+                    r_lo *= 0.5
+                kept = 1
+        width = hi - lo
+        pinned = math.isfinite(width) and width <= _WIDTH_TOL * max(1.0, abs(lo), abs(hi))
+        if newton and derivative < 0.0 and not pinned:
+            a -= r / derivative
+            if lo < a < hi and abs(a) <= _BRACKET_LIMIT:
+                continue
+        newton = False
+        if math.isinf(width):  # grow away from the one known end
+            up = math.isinf(hi)
+            if math.isnan(center):
+                center = lo if up else hi
+            a = center + reach if up else center - reach
+            reach *= _BRACKET_GROWTH
+            if abs(a) > _BRACKET_LIMIT:
+                way = "upward" if up else "downward"
+                raise ConvergenceError(f"root bracket for block {block} diverged {way}")
+        else:
+            kept = kept or 0
+            a = 0.5 * (lo + hi)
+            if r_lo > r_hi:
+                secant = lo + r_lo * width / (r_lo - r_hi)
+                if lo < secant < hi:
+                    a = secant
     raise ConvergenceError(
         f"root not located within {_MAX_ITERATIONS} iterations "
-        f"(last residual {f_c - target:.3g})"
+        f"(last residual {r:.3g})"
     )
 
 
@@ -185,8 +209,14 @@ def solve_first_block(
     """Solve the constant level of the first segment.
 
     The hitting probability of a constant boundary over the first block is
-    continuous and strictly decreasing in the level, from 1 down to 0, so
-    the matching level exists, is unique and strictly positive.
+    continuous and strictly decreasing in the level, from 1 at the origin
+    (and below, where the boundary is crossed at once) down to 0, so the
+    matching level exists, is unique and strictly positive.  The search
+    starts from the level at which the leading reflection term of the k
+    walls (k = 1 upper, 2 on the corridor) carries the target mass,
+    z = -sqrt(t1)·Phi^-1(mass / 2k), exact on the upper side, and takes that
+    term's derivative for its Newton steps; the corridor's spectral regime
+    (z / sqrt(t1) below ``_REFLECTION_MIN``) gets none.
     """
     t1 = grid.knot(1)
     target = block_mass(d, 0.0, t1)
@@ -194,58 +224,22 @@ def solve_first_block(
         raise InfeasibleTargetError(
             f"first-block mass {target:g} outside (0, 1)", block=0
         )
+    walls = 1 if side is BoundarySide.UPPER_ONLY else 2
+    root_t1 = math.sqrt(t1)
+    peak = -2.0 * walls / math.sqrt(2.0 * math.pi * t1)  # the leading term's derivative at z = 0
 
-    def fun(z: float) -> float:
-        return float(constant_boundary_cdf(z, t1, side))
+    def objective(z: float) -> tuple[float, float]:
+        if z <= 0.0:
+            return 1.0, math.nan
+        x = z / root_t1
+        if walls == 2 and x < _REFLECTION_MIN:
+            derivative = math.nan
+        else:
+            derivative = peak * math.exp(-0.5 * x * x)
+        return float(constant_boundary_cdf(z, t1, side)), derivative
 
-    lo = hi = _BRACKET_HALFWIDTH
-    f_lo = f_hi = fun(hi)
-    iters = 1
-    while f_hi > target:
-        lo, f_lo = hi, f_hi
-        hi *= _BRACKET_GROWTH
-        if hi > _BRACKET_LIMIT:
-            raise ConvergenceError("level bracket expansion diverged")
-        f_hi = fun(hi)
-        iters += 1
-    while f_lo < target:
-        hi, f_hi = lo, f_lo
-        lo /= _BRACKET_GROWTH
-        if lo < 1e-300:
-            raise ConvergenceError("level bracket expansion diverged toward zero")
-        f_lo = fun(lo)
-        iters += 1
-    return _refine_root(fun, target, lo, hi, f_lo, f_hi, iters, 0)
-
-
-def _grow(
-    fun: Callable[[float], float],
-    target: float,
-    center: float,
-    lo: float,
-    hi: float,
-    f_lo: float,
-    f_hi: float,
-    iters: int,
-    block: int,
-) -> tuple[float, float, float, float, int]:
-    """Grow the slope bracket [lo, hi] away from ``center`` by
-    ``_BRACKET_GROWTH`` until it holds the root of the decreasing ``fun``."""
-    while f_hi > target:
-        lo, f_lo = hi, f_hi
-        hi = center + (hi - center) * _BRACKET_GROWTH
-        if hi > _BRACKET_LIMIT:
-            raise ConvergenceError(f"slope bracket for block {block} diverged upward")
-        f_hi = fun(hi)
-        iters += 1
-    while f_lo < target:
-        hi, f_hi = lo, f_lo
-        lo = center + (lo - center) * _BRACKET_GROWTH
-        if lo < -_BRACKET_LIMIT:
-            raise ConvergenceError(f"slope bracket for block {block} diverged downward")
-        f_lo = fun(lo)
-        iters += 1
-    return lo, hi, f_lo, f_hi, iters
+    start = -root_t1 * float(ndtri(target / (2 * walls)))
+    return _root_search(objective, target, start, 0.5 * start, 0)
 
 
 def solve_block(
@@ -270,12 +264,9 @@ def solve_block(
     the error at its right knot; at most half the target mass is taken
     back, so the aim stays positive.
 
-    Newton steps start at ``guess``, each evaluation returning the crossing
-    mass and its slope derivative.  A step that would leave the bracket
-    known so far, or a derivative that is unavailable or not negative,
-    hands over to regula falsi, seeded with the points already evaluated:
-    the missing end of the bracket is sought ``step`` away, and the bracket
-    grows outward by ``_BRACKET_GROWTH`` until it holds the root.
+    The search starts at ``guess``, each evaluation returning the crossing
+    mass and its slope derivative, and seeks a missing bracket end from
+    ``step`` away (:func:`_root_search`).
     """
     if m < 1:
         raise ValueError("solve_block handles blocks m >= 1")
@@ -292,64 +283,13 @@ def solve_block(
             block=m,
         )
     carry = min(carry, 0.5 * mass)
-    target = mass - carry
     g0 = boundary_value
 
-    slope_derivative = math.nan  # d mass / d slope at the last slope evaluated
-
-    def fun(a: float) -> float:
-        nonlocal slope_derivative
+    def objective(a: float) -> tuple[float, float]:
         f, df_dg1 = crossing_mass(p, g0, g0 + a * dt, dt, side)
-        slope_derivative = df_dg1 * dt
-        return f
+        return f, df_dg1 * dt
 
-    # Newton from the guess inside the bracket (lo, hi) known so far
-    tol = _residual_tol(target)
-    lo, hi, f_lo, f_hi = -math.inf, math.inf, math.nan, math.nan
-    a, tried, iters = guess, [], 0
-    while iters < _MAX_ITERATIONS:
-        f = fun(a)
-        tried.append(a)
-        iters += 1
-        if abs(f - target) <= tol:
-            return a, BlockSolveRecord(
-                block=m,
-                alpha=a,
-                target_mass=target,
-                achieved=f,
-                residual=f - target,
-                bracket_lo=min(tried),
-                bracket_hi=max(tried),
-                iterations=iters,
-                carry=carry,
-                dmass_dslope=slope_derivative,
-            )
-        if f > target:
-            lo, f_lo = a, f
-        else:
-            hi, f_hi = a, f
-        if not slope_derivative < 0.0:
-            break
-        a = a - (f - target) / slope_derivative
-        if not (lo < a < hi and abs(a) <= _BRACKET_LIMIT):
-            break
-        if math.isfinite(hi - lo) and hi - lo <= _WIDTH_TOL * max(1.0, abs(lo), abs(hi)):
-            break
-
-    # regula falsi from the points evaluated
-    if math.isinf(hi):
-        center, hi = lo, lo + step
-        f_hi = fun(hi)
-        iters += 1
-    elif math.isinf(lo):
-        center, lo = hi, hi - step
-        f_lo = fun(lo)
-        iters += 1
-    else:
-        center = lo
-    lo, hi, f_lo, f_hi, iters = _grow(fun, target, center, lo, hi, f_lo, f_hi, iters, m)
-    alpha, rec = _refine_root(fun, target, lo, hi, f_lo, f_hi, iters, m)
-    return alpha, replace(rec, carry=carry, dmass_dslope=slope_derivative)
+    return _root_search(objective, mass - carry, guess, step, m, carry)
 
 
 @dataclass(frozen=True)
@@ -444,11 +384,12 @@ def construct_boundary(
     state = initial_subdensity(alpha0, alpha0, dt, side)
     survivals = [state.survival]
 
-    # Blocks 1 and 2 start from solve_block's defaults: block 0 is a level,
-    # so neither has two slopes to extrapolate from.  Block m >= 3 starts
-    # from the slope extrapolated linearly from blocks m-1 and m-2, and a
-    # missing bracket end is sought twice their slope change away.  Each
-    # block aims at its target mass less the cdf error left at its left knot.
+    # Every block runs the same root search.  Blocks 1 and 2 start from
+    # solve_block's defaults: block 0 is a level, so neither has two slopes
+    # to extrapolate from.  Block m >= 3 starts from the slope extrapolated
+    # linearly from blocks m-1 and m-2, and a missing bracket end is sought
+    # twice their slope change away.  Each block aims at its target mass
+    # less the cdf error left at its left knot.
     carry = rec.residual
     guess, step = 0.0, _BRACKET_HALFWIDTH
     for m in range(1, grid.blocks):

@@ -103,13 +103,13 @@ class TestInverseCommand:
         assert "block 0 target mass underflows to 0 at level 11" in capsys.readouterr().err
 
     def test_diverging_root_search_exits_3(self, tmp_path, capsys, monkeypatch):
-        # a first-block crossing probability stuck at 1 sends the level
-        # bracket past its limit
+        # a first-block crossing probability stuck at 1 sends the level's
+        # root bracket past its limit
         monkeypatch.setattr(inv, "constant_boundary_cdf", lambda z, t, side: 1.0)
         args = ("inverse", "--target", "exp:1", "--T", 1, "--n", 2)
         assert run(*args, "--out", tmp_path / "out") == 3
         err = capsys.readouterr().err
-        assert "numerical inconsistency: level bracket expansion diverged" in err
+        assert "numerical inconsistency: root bracket for block 0 diverged upward" in err
         assert not (tmp_path / "out").exists()
 
     def test_uniform_target_solves(self, tmp_path):

@@ -38,6 +38,17 @@ class TestDyadicGrid:
         with pytest.raises(ValueError):
             DyadicGrid(horizon, level)
 
+    @pytest.mark.parametrize("level", [2.5, 14.9, 3.0, "3"])
+    def test_rejects_a_level_that_is_not_an_integer(self, level):
+        # a fractional level would give a fractional block count and knots
+        # past the horizon
+        with pytest.raises(ValueError, match="level must be an integer"):
+            DyadicGrid(1.0, level)
+
+    def test_accepts_numpy_integer_levels(self):
+        g = DyadicGrid(1.0, np.int64(3))
+        assert g.blocks == 8 and g.knots[-1] == 1.0
+
     @given(
         level=st.integers(1, 8),
         extra=st.integers(0, 4),

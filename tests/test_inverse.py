@@ -61,6 +61,31 @@ class TestSolveFirstBlock:
         expect = -math.sqrt(1.0 / 256.0) * ndtri(mu0 / 2.0)
         assert alpha == pytest.approx(expect, rel=1e-3)
 
+    @pytest.mark.parametrize("side", [UP, SYM])
+    def test_level_starts_at_its_root(self, side):
+        # the start inverts the leading reflection term, exact on the upper
+        # side; the corridor's next term moves the root by a Newton step
+        for n in range(3, 13):
+            _, rec = solve_first_block(exponential_target(1.0), DyadicGrid(1.0, n), side)
+            assert rec.iterations <= 2
+            assert abs(rec.residual) <= inv._residual_tol(rec.target_mass)
+
+    @pytest.mark.parametrize("side", [UP, SYM])
+    def test_level_search_across_rates_horizons_and_levels(self, side):
+        # first-block masses from 6e-12 to 0.999, on both sides of
+        # the corridor's switch from its reflection to its spectral series
+        worst = 0
+        for rate in (0.1, 0.5, 1.0, 5.0, 13.8):
+            for horizon in (1e-6, 0.01, 1.0, 4.0, 12.0):
+                if rate * horizon > 13.8:
+                    continue
+                for n in (1, 2, 3, 6, 10, 14):
+                    grid = DyadicGrid(horizon, n)
+                    _, rec = solve_first_block(exponential_target(rate), grid, side)
+                    assert abs(rec.residual) <= inv._residual_tol(rec.target_mass)
+                    worst = max(worst, rec.iterations)
+        assert worst <= 16
+
     def test_infeasible_first_mass(self):
         d = TargetDistribution(
             density=lambda t: np.zeros_like(np.asarray(t, float)),
@@ -185,8 +210,12 @@ class TestConvergenceFailures:
 
     @pytest.mark.parametrize(
         "cdf, message",
-        [(1.0, r"level bracket expansion diverged$"),
-         (0.0, r"level bracket expansion diverged toward zero$")],
+        # a level at or below the origin is crossed at once (mass 1), so a
+        # cdf stuck at 0 brackets the root at the origin, where the bracket
+        # collapses on the step from 1 to 0
+        [(1.0, r"root bracket for block 0 diverged upward$"),
+         (0.0, r"bracket collapsed but residual 0.779 exceeds the probability "
+               r"tolerance 1e-10$")],
         ids=["upward", "toward-zero"],
     )
     def test_level_bracket_diverges(self, monkeypatch, cdf, message):
@@ -198,7 +227,7 @@ class TestConvergenceFailures:
     def test_slope_bracket_diverges(self, monkeypatch, mass, way):
         state, d, _ = self.block_one()
         monkeypatch.setattr(inv, "crossing_mass", lambda *args: (mass, math.nan))
-        with pytest.raises(ConvergenceError, match=f"slope bracket for block 1 diverged {way}$"):
+        with pytest.raises(ConvergenceError, match=f"root bracket for block 1 diverged {way}$"):
             solve_block(state, d, 1, UP, boundary_value=1.0, dt=0.5)
 
     def test_collapsed_bracket_above_tolerance(self, monkeypatch):
@@ -214,14 +243,14 @@ class TestConvergenceFailures:
                                                    r"exceeds the probability tolerance 1e-10"):
             solve_block(state, d, 1, UP, boundary_value=1.0, dt=0.5)
 
-    def test_iteration_budget_runs_out(self):
-        # the secant of -a**3 - 0.5 over [-1, 1] lands on -0.5, a residual
-        # of -0.375, and no evaluation is left
-        with pytest.raises(ConvergenceError, match=r"root not located within "
-                                                   rf"{inv._MAX_ITERATIONS} iterations "
+    def test_iteration_budget_runs_out(self, monkeypatch):
+        # without a derivative the search evaluates -a**3 at -1, grows the
+        # bracket to 1, and the secant of -a**3 - 0.5 over [-1, 1] lands on
+        # -0.5, a residual of -0.375, with no evaluation left
+        monkeypatch.setattr(inv, "_MAX_ITERATIONS", 3)
+        with pytest.raises(ConvergenceError, match=r"root not located within 3 iterations "
                                                    r"\(last residual -0.375\)"):
-            inv._refine_root(lambda a: -a**3, 0.5, -1.0, 1.0, 1.0, -1.0,
-                             inv._MAX_ITERATIONS - 1, 1)
+            inv._root_search(lambda a: (-a**3, math.nan), 0.5, -1.0, 2.0, 1)
 
 
 class TestConstructBoundary:
