@@ -216,8 +216,8 @@ def block_mass(d: TargetDistribution, t0: float, t1: float) -> float:
 
 def exponential_target(rate: float) -> TargetDistribution:
     """Exponential hitting-time target with the given rate."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate:g}")
 
     def density(t):
         return rate * np.exp(-rate * np.asarray(t, dtype=float))
@@ -241,6 +241,8 @@ def exponential_target(rate: float) -> TargetDistribution:
 
 def uniform_target(a: float, b: float) -> TargetDistribution:
     """Uniform density on [a, b]."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"need finite a and b, got a={a:g}, b={b:g}")
     if not b > a:
         raise ValueError("need b > a")
     h = 1.0 / (b - a)
@@ -491,70 +493,58 @@ def write_boundary_csv(b: PiecewiseLinearBoundary, path) -> None:
             w.writerow([FLOAT_FMT % t, FLOAT_FMT % u, lo])
 
 
-def read_boundary_csv(path) -> PiecewiseLinearBoundary:
-    """Read a ``t,upper,lower`` file back into a boundary.
-
-    The knot times must form a dyadic grid; the lower column must be the
-    literal ``-inf`` throughout (upper-only) or the negated upper values
-    (symmetric).
-    """
-    path = Path(path)
+def _read_columns(path: Path, header: list[str]) -> list[list[float]]:
+    """The columns of floats of the CSV file ``path`` below ``header``.
+    Empty rows are skipped; a bad row is named by its ``path:line``."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != ["t", "upper", "lower"]:
-        raise ValueError(f"{path}: expected header 't,upper,lower'")
-    ts, uppers, lowers = [], [], []
+    if not rows or [c.strip() for c in rows[0]] != header:
+        raise ValueError(f"{path}: expected header '{','.join(header)}'")
+    columns: list[list[float]] = [[] for _ in header]
     for i, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        if len(row) != 3:
-            raise ValueError(f"{path}:{i}: expected 3 columns")
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{i}: expected {len(header)} columns")
         try:
-            ts.append(float(row[0]))
-            uppers.append(float(row[1]))
-            lowers.append(row[2].strip())
+            values = [float(c) for c in row]
         except ValueError as exc:
             raise ValueError(f"{path}:{i}: {exc}") from None
-    ts_arr = np.asarray(ts)
-    uppers_arr = np.asarray(uppers)
-    if ts_arr.size < 2 or ts_arr[0] != 0.0:
+        for column, v in zip(columns, values):
+            column.append(v)
+    return columns
+
+
+def read_boundary_csv(path) -> PiecewiseLinearBoundary:
+    """Read a ``t,upper,lower`` file back into a boundary.
+
+    The knot times must form a dyadic grid; the lower column must be
+    ``-inf`` throughout (upper-only) or the negated upper values
+    (symmetric).
+    """
+    path = Path(path)
+    ts, uppers, lowers = (np.asarray(c) for c in _read_columns(path, ["t", "upper", "lower"]))
+    if ts.size < 2 or ts[0] != 0.0:
         raise ValueError(f"{path}: knots must start at t=0")
-    n = (ts_arr.size - 1).bit_length() - 1
-    if 2**n + 1 != ts_arr.size:
-        raise ValueError(f"{path}: {ts_arr.size - 1} blocks is not a power of two")
-    grid = DyadicGrid(float(ts_arr[-1]), n)
-    if not np.allclose(ts_arr, grid.knots, rtol=1e-12, atol=0.0):
+    n = (ts.size - 1).bit_length() - 1
+    if 2**n + 1 != ts.size:
+        raise ValueError(f"{path}: {ts.size - 1} blocks is not a power of two")
+    grid = DyadicGrid(float(ts[-1]), n)
+    if not np.allclose(ts, grid.knots, rtol=1e-12, atol=0.0):
         raise ValueError(f"{path}: knot times are not the dyadic grid of the horizon")
-    if all(s == "-inf" for s in lowers):
+    if np.all(lowers == -np.inf):
         side = BoundarySide.UPPER_ONLY
-    else:
-        low_arr = np.asarray([float(s) for s in lowers])
-        if not np.allclose(low_arr, -uppers_arr, rtol=1e-12, atol=1e-300):
-            raise ValueError(
-                f"{path}: lower column must be '-inf' or the negated upper values"
-            )
+    elif np.allclose(lowers, -uppers, rtol=1e-12, atol=1e-300):
         side = BoundarySide.SYMMETRIC
-    return PiecewiseLinearBoundary(side, grid, uppers_arr)
+    else:
+        raise ValueError(f"{path}: lower column must be '-inf' or the negated upper values")
+    return PiecewiseLinearBoundary(side, grid, uppers)
 
 
 def read_target_csv(path) -> TargetDistribution:
     """Read a ``t,f`` density table into a tabulated target."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != ["t", "f"]:
-        raise ValueError(f"{path}: expected header 't,f'")
-    ts, fs = [], []
-    for i, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ValueError(f"{path}:{i}: expected 2 columns")
-        try:
-            ts.append(float(row[0]))
-            fs.append(float(row[1]))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{i}: {exc}") from None
+    ts, fs = _read_columns(path, ["t", "f"])
     try:
         return tabulated_target(np.asarray(ts), np.asarray(fs))
     except ValueError as exc:

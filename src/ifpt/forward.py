@@ -75,7 +75,7 @@ same for every dt (Greengard & Strain's fast Gauss transform uses this
 translation invariance).  Each output node takes one route: the free prefix
 takes this product over every full input cell, and every other node the
 band above over every input node.  A window without free cells (the first
-blocks, narrow corridors), the first knot's point mass and a state not on
+blocks, narrow corridors), the point mass :data:`ORIGIN` and a state not on
 the block's lattice take the band alone.
 
 The corridor's density is even.  It starts from a point mass at 0 and the
@@ -95,8 +95,9 @@ full node set.
 Per-block crossing probabilities from a fixed state have closed forms, and
 so does their derivative in the block's end value, so slope candidates
 during root finding cost O(nodes) while the full propagation runs once per
-block.  The first knot's density is one
-propagation step from a unit point mass at the origin.
+block.  Every state starts from :data:`ORIGIN`, the unit point mass at the
+origin that is the law of W_0: the first knot's density is one propagation
+step from it, like every later knot's from the knot before.
 """
 from __future__ import annotations
 
@@ -119,6 +120,7 @@ from .core import (
 )
 
 __all__ = [
+    "ORIGIN",
     "initial_subdensity",
     "propagated_subdensity",
     "subdensities",
@@ -524,29 +526,33 @@ def _propagate(
 # state construction and propagation
 
 
-def _empty_state(t: float) -> SubDensity:
-    z = np.empty(0)
-    return SubDensity(time=t, nodes=z, weights=z, values=z)
+#: The law of W_0, a unit point mass at the origin: every state is this one
+#: pushed across the blocks before it.
+ORIGIN = SubDensity(time=0.0, nodes=np.zeros(1), weights=np.ones(1), values=np.ones(1))
 
 
-def _step(
-    x_in: np.ndarray,
-    mass_in: np.ndarray,
-    cells_in: LatticeCells | None,
-    t1: float,
-    g0: float,
-    g1: float,
-    dt: float,
-    side: BoundarySide,
+def initial_subdensity(g0: float, g1: float, t1: float, side: BoundarySide) -> SubDensity:
+    """Absorbed density at the first knot for a linear first segment g0 -> g1:
+    :data:`ORIGIN` pushed across one block of width ``t1``."""
+    if g0 <= 0.0:
+        raise ValueError("boundary must start strictly above the origin")
+    return propagated_subdensity(ORIGIN, g0, g1, t1, side)
+
+
+def propagated_subdensity(
+    state: SubDensity, g0: float, g1: float, dt: float, side: BoundarySide
 ) -> SubDensity:
-    """Absorbed density at time ``t1`` after one block of width ``dt`` with
-    boundary values g0 -> g1, from point masses ``mass_in`` at ``x_in``."""
+    """Push the absorbed density across one block with boundary values
+    g0 at the state's knot and g1 at the next one; an empty state, or a
+    window that closes, gives an empty state."""
+    t1 = state.time + dt
     corridor = side is BoundarySide.SYMMETRIC
-    quad = _nodes_weights(corridor, g1, t1, dt)
+    quad = _nodes_weights(corridor, g1, t1, dt) if state.nodes.size else None
     if quad is None:
-        return _empty_state(t1)
+        z = np.empty(0)
+        return SubDensity(time=t1, nodes=z, weights=z, values=z)
     x, w, cells = quad
-    vals = _propagate(x_in, mass_in, x, g0, g1, dt, _mirrors(side), cells_in, cells)
+    vals = _propagate(state.nodes, state.mass, x, g0, g1, dt, _mirrors(side), state.cells, cells)
     if corridor:
         # mirror the half x > 0: its cells 0..c-1 become -c..c-1, after the
         # mirrored wall piece
@@ -555,26 +561,7 @@ def _step(
         w = np.concatenate([w[::-1], w])
         vals = np.concatenate([vals[::-1], vals])
         cells = LatticeCells(cells.width, -c, 2 * c, piece)
-    return SubDensity(time=t1, nodes=x, weights=w, values=vals, cells=cells)
-
-
-def initial_subdensity(g0: float, g1: float, t1: float, side: BoundarySide) -> SubDensity:
-    """Absorbed density at the first knot for a linear first segment g0 -> g1:
-    one block from a unit point mass at the origin."""
-    if g0 <= 0.0:
-        raise ValueError("boundary must start strictly above the origin")
-    return _step(np.zeros(1), np.ones(1), None, t1, g0, g1, t1, side)
-
-
-def propagated_subdensity(
-    state: SubDensity, g0: float, g1: float, dt: float, side: BoundarySide
-) -> SubDensity:
-    """Push the absorbed density across one block with boundary values
-    g0 at the state's knot and g1 at the next one."""
-    t1 = state.time + dt
-    if state.nodes.size == 0:
-        return _empty_state(t1)
-    out = _step(state.nodes, state.weights * state.values, state.cells, t1, g0, g1, dt, side)
+    out = SubDensity(time=t1, nodes=x, weights=w, values=vals, cells=cells)
     if out.survival > state.survival + _SURVIVAL_SLACK:
         raise NumericalConsistencyError(
             f"survival increased across block ending at t={t1:g}: "
@@ -587,9 +574,8 @@ def subdensities(b: PiecewiseLinearBoundary) -> Iterator[SubDensity]:
     """Absorbed densities at knots 1, 2, ..., blocks of ``b``, one block apart."""
     g = [float(v) for v in b.knot_values]
     dt = b.grid.block_width
-    state = initial_subdensity(g[0], g[1], b.grid.knot(1), b.side)
-    yield state
-    for m in range(1, b.grid.blocks):
+    state = ORIGIN
+    for m in range(b.grid.blocks):
         state = propagated_subdensity(state, g[m], g[m + 1], dt, b.side)
         yield state
 

@@ -1,8 +1,9 @@
 """Boundary construction for a prescribed hitting-time law: block by block,
-the block's unknown (block 0's constant level, every later block's slope)
-is solved so that the block's crossing probability matches the target
-mass, then the absorbed density is pushed forward and the next block is
-solved.
+from the absorbed density at the block's left knot (block 0's is
+:data:`~ifpt.forward.ORIGIN`, the unit point mass at the origin), the
+block's unknown (block 0's constant level, every later block's slope) is
+solved so that the block's crossing probability matches the target mass,
+then the density is pushed across the block and the next block is solved.
 
 Each block's crossing mass is continuous and strictly decreasing in its
 unknown, so it has a unique root, and one search finds it for every block
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,14 +58,9 @@ from .core import (
     block_mass,
     validate_target,
 )
-from .forward import (
-    FptTable,
-    crossing_mass,
-    initial_subdensity,
-    propagated_subdensity,
-)
-# Unused here; kept importable because the benchmark's tracer wraps this name.
-from .forward import fpt_distribution_table  # noqa: F401
+from .forward import ORIGIN, FptTable, crossing_mass, propagated_subdensity
+# Unused here; kept importable because the benchmark's tracer wraps these names.
+from .forward import fpt_distribution_table, initial_subdensity  # noqa: F401
 
 __all__ = [
     "PROBABILITY_TOL",
@@ -337,16 +334,6 @@ class InverseSolution:
         }
 
 
-def _underflow(block: int, level: int) -> NumericalConsistencyError:
-    """Block ``block``'s target mass is exactly 0 although the target's
-    sampled density is positive and normal: float64 underflow, not an
-    infeasible target."""
-    return NumericalConsistencyError(
-        f"block {block} target mass underflows to 0 at level {level}: "
-        "the target density is strictly positive, its mass is below float64 range"
-    )
-
-
 def construct_boundary(
     d: TargetDistribution,
     horizon: float,
@@ -359,8 +346,7 @@ def construct_boundary(
     The grid is checked first, then the target, so a bad level fails before
     any target sampling.  Any failing block aborts the run with the records
     solved so far attached to the raised error.  A block whose target mass
-    underflows to 0 raises :class:`NumericalConsistencyError`
-    (:func:`_underflow`).
+    underflows to 0 raises :class:`NumericalConsistencyError`.
     """
     grid = DyadicGrid(horizon, level)
     report = validate_target(d, horizon)
@@ -372,35 +358,34 @@ def construct_boundary(
     dt = grid.block_width
     knots = np.empty(grid.blocks + 1)
     records: list[BlockSolveRecord] = []
+    state, survivals = ORIGIN, []
 
-    try:
-        alpha0, rec = solve_first_block(d, grid, side)
-    except InfeasibleTargetError as exc:
-        if certified and block_mass(d, 0.0, grid.knot(1)) == 0.0:
-            raise _underflow(0, level) from exc
-        raise
-    records.append(rec)
-    knots[0] = knots[1] = alpha0
-    state = initial_subdensity(alpha0, alpha0, dt, side)
-    survivals = [state.survival]
-
-    # Every block runs the same root search.  Blocks 1 and 2 start from
-    # solve_block's defaults: block 0 is a level, so neither has two slopes
-    # to extrapolate from.  Block m >= 3 starts from the slope extrapolated
-    # linearly from blocks m-1 and m-2, and a missing bracket end is sought
-    # twice their slope change away.  Each block aims at its target mass
-    # less the cdf error left at its left knot.
-    carry = rec.residual
-    guess, step = 0.0, _BRACKET_HALFWIDTH
-    for m in range(1, grid.blocks):
+    # Every block runs the same root search from the state at its left knot,
+    # block 0 from ORIGIN.  Block 0 solves its level, knots[0], and has
+    # slope 0.  Blocks 1 and 2 start from solve_block's defaults: block 0 is
+    # a level, so neither has two slopes to extrapolate from.  Block m >= 3
+    # starts from the slope extrapolated linearly from blocks m-1 and m-2,
+    # and a missing bracket end is sought twice their slope change away.
+    # Each block aims at its target mass less the cdf error left at its
+    # left knot.
+    carry, guess, step = 0.0, 0.0, _BRACKET_HALFWIDTH
+    for m in range(grid.blocks):
         try:
-            slope, rec = solve_block(
-                state, d, m, side, boundary_value=float(knots[m]), dt=dt,
-                guess=guess, step=step, carry=carry,
-            )
+            if m == 0:
+                knots[0], rec = solve_first_block(d, grid, side)
+                slope = 0.0
+            else:
+                slope, rec = solve_block(
+                    state, d, m, side, boundary_value=float(knots[m]), dt=dt,
+                    guess=guess, step=step, carry=carry,
+                )
         except InfeasibleTargetError as exc:
             if certified and block_mass(d, state.time, state.time + dt) == 0.0:
-                raise _underflow(m, level) from exc
+                raise NumericalConsistencyError(
+                    f"block {m} target mass underflows to 0 at level {level}: "
+                    "the target density is strictly positive, its mass is below "
+                    "float64 range"
+                ) from exc
             exc.records = list(records)
             raise
         records.append(rec)
@@ -482,6 +467,8 @@ def refine(
     """Solve the inverse problem on levels n_min..n_max and report how the
     boundaries stabilize across the nested grids."""
     for name, n in (("n_min", n_min), ("n_max", n_max)):
+        if not isinstance(n, numbers.Integral):
+            raise ValueError(f"{name}: level must be an integer, got {n!r}")
         if not 1 <= n <= MAX_LEVEL:
             raise ValueError(f"{name}: level must be in [1, {MAX_LEVEL}], got {n}")
     if n_min > n_max:

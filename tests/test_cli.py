@@ -112,6 +112,20 @@ class TestInverseCommand:
         assert "numerical inconsistency: root bracket for block 0 diverged upward" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("exp:nan", "rate must be positive and finite, got nan"),
+            ("exp:inf", "rate must be positive and finite, got inf"),
+            ("uniform:-inf,1", "need finite a and b, got a=-inf, b=1"),
+        ],
+    )
+    def test_non_finite_target_parameter_exits_2(self, tmp_path, capsys, spec, message):
+        assert run("inverse", "--target", spec, "--T", 1, "--n", 2,
+                   "--out", tmp_path / "out") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_uniform_target_solves(self, tmp_path):
         assert run("inverse", "--target", "uniform:0,2", "--T", 1, "--n", 3,
                    "--side", "symmetric", "--out", tmp_path) == 0

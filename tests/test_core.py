@@ -287,6 +287,7 @@ class TestBoundaryCsv:
             read_boundary_csv(p)
         for text, message in [
             ("t,upper,lower\n0,1,-inf\n0.5,1\n1,1,-inf\n", r"bad.csv:3: expected 3 columns"),
+            ("t,upper,lower\n0,1,-1\n0.5,1,abc\n1,1,-1\n", r"bad.csv:3: could not convert"),
             ("t,upper,lower\n0.5,1,-inf\n1,1,-inf\n", "knots must start at t=0"),
             ("t,upper,lower\n0,1,-inf\n0.5,1,-inf\n0.75,1,-inf\n1,1,-inf\n",
              "3 blocks is not a power of two"),

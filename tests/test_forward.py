@@ -21,6 +21,7 @@ from ifpt import (
 )
 from ifpt.core import ConvergenceError, NumericalConsistencyError
 from ifpt.forward import (
+    ORIGIN,
     _TOEPLITZ,
     _TRUNCATION_SIGMAS,
     _WIDE,
@@ -127,9 +128,34 @@ class TestSurvivalProbability:
         assert last.survival == pytest.approx(2.0 * ndtr(1.0) - 1.0, abs=1e-10)
 
     def test_first_knot_equals_init_mass(self):
-        b = const_boundary(BoundarySide.SYMMETRIC, 3)
-        first = initial_subdensity(1.0, 1.0, b.grid.knot(1), b.side)
-        assert next(subdensities(b)).survival == first.survival
+        # the first knot is ORIGIN pushed across block 0, however it is asked for
+        for side in SIDES:
+            grid = DyadicGrid(1.0, 3)
+            b = PiecewiseLinearBoundary(side, grid, 1.0 + 0.3 * grid.knots)
+            g0, g1, dt = float(b.knot_values[0]), float(b.knot_values[1]), grid.block_width
+            states = [
+                next(subdensities(b)),
+                initial_subdensity(g0, g1, grid.knot(1), side),
+                propagated_subdensity(ORIGIN, g0, g1, dt, side),
+            ]
+            first = states[0]
+            assert first.time == grid.knot(1)
+            assert first.cells is not None
+            for other in states[1:]:
+                assert other.time == first.time
+                assert np.array_equal(other.nodes, first.nodes)
+                assert np.array_equal(other.weights, first.weights)
+                assert np.array_equal(other.values, first.values)
+                assert other.cells == first.cells
+                assert other.survival == first.survival
+
+    def test_origin_is_a_read_only_unit_point_mass(self):
+        assert ORIGIN.time == 0.0 and ORIGIN.survival == 1.0
+        assert ORIGIN.nodes.tolist() == [0.0] and ORIGIN.cells is None
+        for a in (ORIGIN.nodes, ORIGIN.weights, ORIGIN.values):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 2.0
 
     def test_linear_boundary_against_quadrature(self):
         grid = DyadicGrid(1.0, 4)

@@ -435,6 +435,17 @@ class TestRefine:
         with pytest.raises(ValueError):
             refine(exponential_target(1.0), 1.0, 3, 2, UP)
 
+    @pytest.mark.parametrize(
+        "n_min, n_max, name", [(3, 3.5, "n_max"), (2.5, 3, "n_min"), (2, 3.0, "n_max")]
+    )
+    def test_non_integer_level_is_rejected_before_any_solve(self, monkeypatch, n_min, n_max, name):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("construct_boundary called before the level check")
+
+        monkeypatch.setattr(inv, "construct_boundary", no_solve)
+        with pytest.raises(ValueError, match=f"{name}: level must be an integer"):
+            refine(exponential_target(1.0), 1.0, n_min, n_max, UP)
+
     def test_level_cap_checked_before_any_solve(self, monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("construct_boundary called before the level check")
@@ -468,19 +479,19 @@ class TestRefine:
 
 
 class TestPropagationCount:
-    """Every block is propagated once: ``_step`` is the single step behind
-    both the first knot and every later one."""
+    """Every block is propagated once: ``_propagate`` is the single step
+    behind both the first knot, from ``ORIGIN``, and every later one."""
 
     @pytest.fixture
     def steps(self, monkeypatch):
         calls = []
-        step = fwd._step
+        step = fwd._propagate
 
         def counted(*args, **kwargs):
             calls.append(None)
             return step(*args, **kwargs)
 
-        monkeypatch.setattr(fwd, "_step", counted)
+        monkeypatch.setattr(fwd, "_propagate", counted)
         return calls
 
     @pytest.mark.parametrize("side", [UP, SYM])
