@@ -38,6 +38,10 @@ SERIES_MAX_TERMS = 64
 #: x / sqrt(t) is at least this, and its spectral series below.
 _REFLECTION_MIN = 0.8
 
+#: Both series stop at the first term below this: the reflection series
+#: relative to its running sum, the spectral series absolutely.
+_CONSTANT_CDF_TOL = 1e-14
+
 
 def _phi(z):
     return np.exp(-0.5 * np.square(z)) / _SQRT_2PI
@@ -125,7 +129,7 @@ def linear_transition_kernel(g0, g1, t0, x0, t1, x1):
     return float(out) if x1_arr.ndim == 0 else out
 
 
-def _symmetric_constant_cdf_scalar(x: float, t: float, tol: float = 1e-14) -> float:
+def _symmetric_constant_cdf_scalar(x: float, t: float) -> float:
     if t == 0.0:
         return 0.0
     a = x / math.sqrt(t)
@@ -137,7 +141,7 @@ def _symmetric_constant_cdf_scalar(x: float, t: float, tol: float = 1e-14) -> fl
         for j in range(SERIES_MAX_TERMS):
             term = 4.0 * float(ndtr(-(2 * j + 1) * a))
             total += sign * term
-            if term < tol * max(total, 1e-300):
+            if term < _CONSTANT_CDF_TOL * max(total, 1e-300):
                 return min(total, 1.0)
             sign = -sign
         raise ConvergenceError("constant-boundary reflection series did not converge")
@@ -148,7 +152,7 @@ def _symmetric_constant_cdf_scalar(x: float, t: float, tol: float = 1e-14) -> fl
         q = 2 * j + 1
         term = ((-1) ** j) * 4.0 / (math.pi * q) * math.exp(-q * q * lam * t)
         surv += term
-        if abs(term) < tol:
+        if abs(term) < _CONSTANT_CDF_TOL:
             return min(max(1.0 - surv, 0.0), 1.0)
     raise ConvergenceError("constant-boundary spectral series did not converge")
 

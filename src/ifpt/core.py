@@ -520,25 +520,29 @@ def read_boundary_csv(path) -> PiecewiseLinearBoundary:
 
     The knot times must form a dyadic grid; the lower column must be
     ``-inf`` throughout (upper-only) or the negated upper values
-    (symmetric).
+    (symmetric).  Every rejection names the file.
     """
     path = Path(path)
     ts, uppers, lowers = (np.asarray(c) for c in _read_columns(path, ["t", "upper", "lower"]))
-    if ts.size < 2 or ts[0] != 0.0:
-        raise ValueError(f"{path}: knots must start at t=0")
-    n = (ts.size - 1).bit_length() - 1
-    if 2**n + 1 != ts.size:
-        raise ValueError(f"{path}: {ts.size - 1} blocks is not a power of two")
-    grid = DyadicGrid(float(ts[-1]), n)
-    if not np.allclose(ts, grid.knots, rtol=1e-12, atol=0.0):
-        raise ValueError(f"{path}: knot times are not the dyadic grid of the horizon")
-    if np.all(lowers == -np.inf):
-        side = BoundarySide.UPPER_ONLY
-    elif np.allclose(lowers, -uppers, rtol=1e-12, atol=1e-300):
-        side = BoundarySide.SYMMETRIC
-    else:
-        raise ValueError(f"{path}: lower column must be '-inf' or the negated upper values")
-    return PiecewiseLinearBoundary(side, grid, uppers)
+    try:
+        if ts.size < 2 or ts[0] != 0.0:
+            raise ValueError("knots must start at t=0")
+        n = (ts.size - 1).bit_length() - 1
+        if 2**n + 1 != ts.size:
+            raise ValueError(f"{ts.size - 1} blocks is not a power of two")
+        grid = DyadicGrid(float(ts[-1]), n)
+        if not np.allclose(ts, grid.knots, rtol=1e-12, atol=0.0):
+            raise ValueError("knot times are not the dyadic grid of the horizon")
+        if np.all(lowers == -np.inf):
+            side = BoundarySide.UPPER_ONLY
+        elif np.allclose(lowers, -uppers, rtol=1e-12, atol=1e-300):
+            side = BoundarySide.SYMMETRIC
+        else:
+            raise ValueError("lower column must be '-inf' or the negated upper values")
+        return PiecewiseLinearBoundary(side, grid, uppers)
+    except ValueError as exc:
+        # also names the file on DyadicGrid's and PiecewiseLinearBoundary's checks
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_target_csv(path) -> TargetDistribution:

@@ -2,14 +2,14 @@
 and brute-force tensor quadrature for low block indices.
 
 Each fixed-size chunk of paths owns one counter-based Philox stream (its key
-is the seed and the chunk index), so the counts do not depend on how chunks
-are scheduled over workers and are reproducible bit for bit.  The chunk loop
-carries only the live paths, their positions compacted in chunk order, and
-stops once none is left.  Each step draws one normal and then one uniform per
-live path and gives the k-th of each to the k-th live path; dead paths draw
-nothing.  The law of the counts is that of a fresh N(0, 1) and U(0, 1) per
-live path and step: how many paths live at step s depends only on the draws
-before it, and the draws of step s are independent of those.  Counts differ
+is the seed and the chunk index), so the counts depend only on the seed and
+the path count and are reproducible bit for bit.  The chunk loop carries only
+the live paths, their positions compacted in chunk order, and stops once none
+is left.  Each step draws one normal and then one uniform per live path and
+gives the k-th of each to the k-th live path; dead paths draw nothing.  The
+law of the counts is that of a fresh N(0, 1) and U(0, 1) per live path and
+step: how many paths live at step s depends only on the draws before it, and
+the draws of step s are independent of those.  Counts differ
 from those of the earlier layout, which drew for every path of the chunk and
 discarded the draws of dead ones; the first step draws the same numbers, so
 the block-1 counts are unchanged.  At 2**19 paths on a solved level-6 exp(1)
@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,25 +200,12 @@ def simulate_hitting_times(
     whose uniform lies below the sum of the two one-wall factors plus a
     1e-6 slack; the rest cannot cross, so the counts are those the full
     series gives.
-    The worker count is the ``IFPT_THREADS`` environment variable (an
-    integer, default 1) capped at the number of chunks; results do not
-    depend on it.
+    The paths run in chunks of ``_CHUNK``, the c-th on the Philox key
+    ``[seed, c]``, so the counts depend only on the seed and the path count.
     """
-    chunks = [
-        (c, min(_CHUNK, cfg.paths - c * _CHUNK))
-        for c in range((cfg.paths + _CHUNK - 1) // _CHUNK)
-    ]
-    threads = os.environ.get("IFPT_THREADS", "1")
-    try:
-        workers = min(max(1, int(threads)), len(chunks))
-    except ValueError:
-        raise ValueError(f"IFPT_THREADS must be an integer, got {threads!r}") from None
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(lambda ci: _simulate_chunk(b, cfg, *ci), chunks))
-    else:
-        counts = [_simulate_chunk(b, cfg, c, n) for c, n in chunks]
-    hits = np.sum(counts, axis=0, dtype=np.int64)
+    hits = np.zeros(b.grid.blocks, dtype=np.int64)
+    for c, start in enumerate(range(0, cfg.paths, _CHUNK)):
+        hits += _simulate_chunk(b, cfg, c, min(_CHUNK, cfg.paths - start))
     return EmpiricalHittingDistribution(
         times=b.grid.knots.copy(),
         hits=hits,

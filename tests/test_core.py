@@ -291,6 +291,12 @@ class TestBoundaryCsv:
             ("t,upper,lower\n0.5,1,-inf\n1,1,-inf\n", "knots must start at t=0"),
             ("t,upper,lower\n0,1,-inf\n0.5,1,-inf\n0.75,1,-inf\n1,1,-inf\n",
              "3 blocks is not a power of two"),
+            # rejected by the grid or the boundary, still named by the file
+            ("t,upper,lower\n0,1,-inf\n1,1,-inf\n", r"bad.csv: level must be in"),
+            ("t,upper,lower\n0,1,-inf\n-1,1,-inf\n0,1,-inf\n",
+             r"bad.csv: horizon must be positive"),
+            ("t,upper,lower\n0,0,-inf\n0.5,1,-inf\n1,1,-inf\n",
+             r"bad.csv: boundary must start strictly above the origin"),
         ]:
             p.write_text(text)
             with pytest.raises(ValueError, match=message):

@@ -60,13 +60,24 @@ class TestSimulate:
         assert np.array_equal(a.hits, c.hits)
         assert a.survivors == c.survivors
 
-    def test_worker_count_does_not_change_counts(self, monkeypatch):
-        b = const_boundary(BoundarySide.UPPER_ONLY, 3)
-        cfg = SimConfig(paths=150_000, seed=3)  # spans multiple chunks
-        serial = simulate_hitting_times(b, cfg)
-        monkeypatch.setenv("IFPT_THREADS", "4")
-        threaded = simulate_hitting_times(b, cfg)
-        assert np.array_equal(serial.hits, threaded.hits)
+    @pytest.mark.parametrize(
+        "side, hits",
+        [
+            (BoundarySide.UPPER_ONLY, [734, 6132, 8595, 8270, 7152, 6485, 5510, 4723]),
+            (BoundarySide.SYMMETRIC, [1423, 12344, 17025, 16368, 14496, 12560, 10860, 9302]),
+        ],
+    )
+    def test_counts_are_the_sum_of_the_chunk_streams(self, side, hits):
+        # 150 000 paths are chunks 0 and 1 of 65 536 and chunk 2 of 18 928,
+        # each on its own Philox key; the pinned counts fix that layout
+        b = const_boundary(side, 3)
+        cfg = SimConfig(paths=150_000, seed=3)
+        chunks = sum(
+            _simulate_chunk(b, cfg, c, n) for c, n in enumerate([65_536, 65_536, 18_928])
+        )
+        emp = simulate_hitting_times(b, cfg)
+        assert np.array_equal(emp.hits, chunks)
+        assert emp.hits.tolist() == hits
 
     def test_counts_add_up(self):
         b = const_boundary(BoundarySide.SYMMETRIC, 2)
@@ -82,43 +93,6 @@ class TestSimulate:
         lines = out.read_text().splitlines()
         assert lines[0] == "t_lo,t_hi,hits,frequency,stderr"
         assert lines[-1].startswith("survivors,")
-
-    def test_workers_capped_at_chunk_count(self, monkeypatch):
-        # a recorder stands in for the pool, so no thread is started
-        seen = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Pool)
-        b = const_boundary(BoundarySide.UPPER_ONLY, 2)
-        cfg = SimConfig(paths=150_000, seed=3)  # three chunks
-        serial = simulate_hitting_times(b, cfg)
-        assert seen == []
-        for threads, workers in [("2", 2), ("3", 3), ("1000000", 3)]:
-            monkeypatch.setenv("IFPT_THREADS", threads)
-            assert np.array_equal(simulate_hitting_times(b, cfg).hits, serial.hits)
-            assert seen[-1] == workers
-        monkeypatch.setenv("IFPT_THREADS", "1000000")
-        simulate_hitting_times(b, SimConfig(paths=1000, seed=3))  # one chunk: no pool
-        assert len(seen) == 3
-
-    @pytest.mark.parametrize("threads", ["two", "1.5", ""])
-    def test_non_integer_thread_count_is_rejected(self, monkeypatch, threads):
-        monkeypatch.setenv("IFPT_THREADS", threads)
-        b = const_boundary(BoundarySide.UPPER_ONLY, 1)
-        with pytest.raises(ValueError, match="IFPT_THREADS"):
-            simulate_hitting_times(b, SimConfig(paths=1000, seed=0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
