@@ -193,6 +193,37 @@ class TestSimulateCommand:
         assert code == 0
         assert (tmp_path / "empirical.csv").exists()
 
+    @pytest.mark.parametrize("side", ["upper", "symmetric"])
+    def test_same_seed_writes_same_counts(self, tmp_path, side):
+        run("inverse", "--target", "exp:1", "--T", 1, "--n", 3, "--side", side,
+            "--out", tmp_path)
+        written = []
+        for seed, name in [(3, "a"), (3, "b"), (4, "c")]:  # 70 000 paths: two chunks
+            assert run("simulate", "--boundary", tmp_path / "boundary.csv", "--paths",
+                       70_000, "--seed", seed, "--out", tmp_path / name) == 0
+            written.append((tmp_path / name / "empirical.csv").read_bytes())
+        assert written[0] == written[1]
+        assert written[0] != written[2]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,upper,lower\n0,1,-inf\n1,1,-inf\n", "level must be in"),
+            ("t,upper,lower\n0,1,-inf\n-1,1,-inf\n0,1,-inf\n", "horizon must be positive"),
+            ("t,upper,lower\n0,0,-inf\n0.5,1,-inf\n1,1,-inf\n",
+             "boundary must start strictly above the origin"),
+        ],
+        ids=["one-block", "negative-knot", "starts-at-origin"],
+    )
+    def test_rejected_boundary_exits_2_naming_the_file(self, tmp_path, capsys, text,
+                                                        message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code = run("simulate", "--boundary", bad, "--paths", 1000, "--out", tmp_path)
+        assert code == 2
+        assert f"{bad}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "empirical.csv").exists()
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range_exits_2(self, tmp_path, capsys, seed):
         run("inverse", "--target", "exp:1", "--T", 1, "--n", 2, "--out", tmp_path)

@@ -79,6 +79,18 @@ class TestSimulate:
         assert np.array_equal(emp.hits, chunks)
         assert emp.hits.tolist() == hits
 
+    @pytest.mark.parametrize("paths", [montecarlo._CHUNK, montecarlo._CHUNK + 1])
+    def test_chunk_edge(self, paths):
+        # a full chunk is one stream; one path more opens chunk 1 with one path
+        b = const_boundary(BoundarySide.UPPER_ONLY, 2)
+        cfg = SimConfig(paths=paths, seed=5)
+        chunks = _simulate_chunk(b, cfg, 0, montecarlo._CHUNK)
+        if paths > montecarlo._CHUNK:
+            chunks = chunks + _simulate_chunk(b, cfg, 1, 1)
+        emp = simulate_hitting_times(b, cfg)
+        assert np.array_equal(emp.hits, chunks)
+        assert int(emp.hits.sum()) + emp.survivors == paths
+
     def test_counts_add_up(self):
         b = const_boundary(BoundarySide.SYMMETRIC, 2)
         emp = simulate_hitting_times(b, SimConfig(paths=10_000, seed=2))
