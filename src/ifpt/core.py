@@ -268,6 +268,8 @@ def tabulated_target(ts, fs) -> TargetDistribution:
     fs = np.asarray(fs, dtype=float)
     if ts.ndim != 1 or ts.shape != fs.shape or ts.size < 2:
         raise ValueError("need matching 1-d arrays with at least two samples")
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("abscissae must be finite")
     if np.any(np.diff(ts) <= 0):
         raise ValueError("abscissae must be strictly increasing")
     if ts[0] != 0.0:
@@ -416,7 +418,7 @@ class SubDensity:
         values = np.asarray(self.values, dtype=float)
         if not (nodes.shape == weights.shape == values.shape):
             raise ValueError("nodes, weights and values must share one shape")
-        if np.any(np.diff(nodes) < 0.0):
+        if (nodes[1:] < nodes[:-1]).any():
             raise ValueError("nodes must be in increasing order")
         if values.size and float(values.min()) < -1e-12:
             raise ValueError(f"negative density value {values.min():g}")

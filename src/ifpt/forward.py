@@ -37,14 +37,12 @@ is of order exp(-2*m**2/dt) at inside points (|y| < u0, |x| < u1):
 Past ``_WIDE`` = 45 the skipped remainder is below 2*exp(-45), about
 6e-20, of the kernel's peak and of the crossing.
 
-The propagation is banded, O(nodes * band): each output node sums only the
-input nodes within ``_BAND_SIGMAS`` standard deviations of the block's
-Gaussian.  The killed kernel, and each image term of it, never exceeds the
-free Gaussian, so every dropped entry is below exp(-c**2/2) of the kernel's
-peak (about 2.6e-18 for c = 9) and the mass dropped per block is at most
-2*Phi(-c) (about 2.3e-19) of the survival.  The band is held as (output,
-input) index pairs, one per entry within it, as in a compressed sparse row
-matrix, and each output node's entries are summed by ``np.bincount``.
+The propagation is banded: each output node needs only the input nodes
+within ``_BAND_SIGMAS`` standard deviations of the block's Gaussian, its
+band.  The killed kernel, and each image term of it, never exceeds the free
+Gaussian, so every entry beyond the band is below exp(-c**2/2) of the
+kernel's peak (about 2.6e-18 for c = 9) and the mass beyond it per block is
+at most 2*Phi(-c) (about 2.3e-19) of the survival.
 
 Most of the band is one constant matrix.  The quadrature panels sit on a
 lattice fixed for the whole solve: cells [k*h, (k+1)*h) of width
@@ -73,10 +71,19 @@ apart they are: for offsets o = -3..3, which cover the 9-sigma band, it is
 the 12 x 12 block K_o[p, q] = exp(-(3*o + 1.5*(xi_p - xi_q))**2 / 2), the
 same for every dt (Greengard & Strain's fast Gauss transform uses this
 translation invariance).  Each output node takes one route: the free prefix
-takes this product over every full input cell, and every other node the
-band above over every input node.  A window without free cells (the first
-blocks, narrow corridors), the point mass :data:`ORIGIN` and a state not on
-the block's lattice take the band alone.
+takes this product over every full input cell, and every other node, the
+suffix by the wall, the near block (:func:`_near_block`).  That is the
+kernel written out as a dense matrix: from the inputs within the band of
+any of its outputs, one contiguous slice of the sorted input nodes found by
+two ``searchsorted`` calls, and applied to their masses by one matrix
+product.  The slice also holds inputs beyond an output's own band; those
+entries are below exp(-40.5) of the peak and are kept, not masked.  The
+suffix holds about 90 nodes at every level, so the near block's cost does
+not grow with the window.  A window without free cells (the first blocks,
+narrow corridors), the point mass :data:`ORIGIN` and a state not on the
+block's lattice take the near block alone, in slabs of ``_SLAB_NODES``
+outputs with a slice each, so none of them forms a matrix over the whole
+window.
 
 The corridor's density is even.  It starts from a point mass at 0 and the
 walls -g, g are symmetric under x -> -x, so the absorbed density is even at
@@ -148,6 +155,23 @@ _PANEL_SIGMAS = 3.0
 #: entries beyond it are below exp(-81/2) of the peak.
 _BAND_SIGMAS = 9.0
 
+#: Output nodes per slab of the near block (:func:`_near_block`), eight
+#: cells' worth.  A slab's kernel is this many rows by the inputs within
+#: reach of them, so a window that takes no Toeplitz product, such as a
+#: state's off the block's lattice, never forms one matrix over the whole
+#: window.  A slab of a window's nodes spans at most 8 cells, 24 standard
+#: deviations, so with the 9-sigma reach its Gaussian's exponents stay above
+#: -(33**2)/2, clear of the results near and below exp(-708) that exp
+#: computes many times slower.
+_SLAB_NODES = 96
+
+#: Floor on the exponent of the corridor's far-wall term in
+#: :func:`_wall_factor`.  exp computes results near and below the smallest
+#: normal double, about exp(-708), many times slower; a term below
+#: exp(-700), about 1e-304, is lost beside the factor's other part unless
+#: the factor itself is below about 1e-288.
+_EXP_FLOOR = -700.0
+
 #: Lattice cells the Toeplitz product reaches on either side: nodes of cells
 #: further apart are more than ``_BAND_SIGMAS`` standard deviations apart.
 _REACH_CELLS = int(_BAND_SIGMAS // _PANEL_SIGMAS)
@@ -179,6 +203,11 @@ def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (mid[:, None] + half[:, None] * _XG).ravel(), (half[:, None] * _WG).ravel()
 
 
+#: The wall piece's rule on [0, 1], the wall at 1: the panels [0, 1/2],
+#: [1/2, 5/6] and [5/6, 1], graded toward the wall.
+_PIECE_X, _PIECE_W = _panel_nodes(np.array([0.0, 0.5, 5.0 / 6.0, 1.0]))
+
+
 def _nodes_weights(
     corridor: bool, g: float, t: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray, LatticeCells] | None:
@@ -204,16 +233,19 @@ def _nodes_weights(
     if walled and g - k1 * h < 0.25 * h and k1 > (0 if corridor else -reach):
         k1 -= 1
     k0 = 0 if corridor else -reach
-    k = np.arange(k0, k1, dtype=float)
-    x = ((k[:, None] + 0.5) * h + (0.5 * h) * _XG).ravel()
-    w = np.tile((0.5 * h) * _WG, k1 - k0)
-    cells = LatticeCells(h, k0, k1 - k0, 0)
-    if not walled:
-        return x, w, cells
-    # the wall piece [k1*h, g], graded toward the wall
-    a = k1 * h
-    px, pw = _panel_nodes(np.array([a, g - (g - a) / 2.0, g - (g - a) / 6.0, g]))
-    return np.concatenate([x, px]), np.concatenate([w, pw]), cells
+    n = _PANEL_ORDER * (k1 - k0)
+    x = np.empty(n + (_PIECE_X.size if walled else 0))
+    w = np.empty_like(x)
+    # each full cell is the unit cell's rule shifted onto it
+    k = np.arange(k0, k1, dtype=float)[:, None]
+    x[:n].reshape(-1, _PANEL_ORDER)[:] = (k + 0.5) * h + (0.5 * h) * _XG
+    w[:n].reshape(-1, _PANEL_ORDER)[:] = (0.5 * h) * _WG
+    if walled:
+        # the wall piece [k1*h, g], graded toward the wall
+        a = k1 * h
+        x[n:] = a + (g - a) * _PIECE_X
+        w[n:] = (g - a) * _PIECE_W
+    return x, w, LatticeCells(h, k0, k1 - k0, 0)
 
 
 #: Wall signs of the corridor: the upper wall x = g and its mirror x = -g.
@@ -380,43 +412,36 @@ def bridge_crossing_symmetric(x0, x1, u0: float, u1: float, dt: float):
 # one-block propagation, banded, for both sides
 
 
-def _band_strip(x_in: np.ndarray, x_out: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """The band as index pairs (row, col) into the sorted ``x_out`` and
-    ``x_in``, one pair per input node within ``_BAND_SIGMAS * sqrt(dt)`` of
-    an output node: output by output, inputs ascending within each (the
-    layout of a compressed sparse row matrix)."""
-    reach = _BAND_SIGMAS * math.sqrt(dt)
-    first = np.searchsorted(x_in, x_out - reach, side="left")
-    count = np.searchsorted(x_in, x_out + reach, side="right") - first
-    row = np.repeat(np.arange(x_out.size), count)
-    col = np.arange(row.size) + np.repeat(first - (np.cumsum(count) - count), count)
-    return row, col
-
-
 def _wall_factor(y: np.ndarray, x: np.ndarray, g0: float, g1: float, dt: float, mirrors):
     """1 - sum of the pinned bridge's one-wall crossing probabilities
-    e_s = exp(-2(g1 - s*x)(g0 - s*y)/dt) from each ``y`` to its ``x``."""
-    near, *far = (-2.0 * (g1 - s * x) * (g0 - s * y) / dt for s in mirrors)
+    e_s = exp(-2(g1 - s*x)(g0 - s*y)/dt) from ``y`` to ``x``, broadcast
+    against each other."""
+    near, *far = (((-2.0 / dt) * (g1 - s * x)) * (g0 - s * y) for s in mirrors)
     if not far:
-        return -np.expm1(near)
+        return np.negative(np.expm1(near, out=near), out=near)
     # expm1 takes whichever wall's exponent is nearer 0, so the factor keeps
     # its relative accuracy by both walls of the corridor
-    return -np.expm1(np.maximum(near, far[0])) - np.exp(np.minimum(near, far[0]))
+    lo = np.maximum(np.minimum(near, far[0]), _EXP_FLOOR)
+    np.expm1(np.maximum(near, far[0], out=near), out=near)
+    near += np.exp(lo, out=lo)
+    return np.negative(near, out=near)
 
 
-def _kernel_remainder(x_in, col, x, u0: float, u1: float, dt: float, peak: float):
-    """Both-walls remainder of the corridor kernel from each ``x_in[col]``
-    to its ``x``, in units of the free Gaussian's peak: the direct images
-    k != 0 less the reflections across j*u, |j| >= 3."""
-    direct, reflected = np.empty(col.size), np.empty(col.size)
+def _kernel_remainder(y, x, u0: float, u1: float, dt: float, peak: float):
+    """Both-walls remainder of the corridor kernel from the inputs ``y`` (a
+    row) to the outputs ``x`` (a column), in units of the free Gaussian's
+    peak: the direct images k != 0 less the reflections across j*u,
+    |j| >= 3."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    direct, reflected = np.empty(shape), np.empty(shape)
     none = np.zeros(())
 
     def gauss(out, logw, mean):
-        # exp(logw - (x - mean)**2 / (2 dt)) on the pairs, in place
-        np.subtract(x, mean[col], out=out)
+        # exp(logw - (x - mean)**2 / (2 dt)) on the block, in place
+        np.subtract(x, mean, out=out)
         np.square(out, out=out)
         out /= -2.0 * dt
-        out += logw[col]
+        out += logw
         return np.exp(out, out=out)
 
     # The series uses up each image pair before it asks for the next, so all
@@ -428,10 +453,10 @@ def _kernel_remainder(x_in, col, x, u0: float, u1: float, dt: float, peak: float
             none if k in (0, 1) else gauss(reflected, lb, mean_b),
         )
 
-    return _image_series(x_in, u0, u1, dt, image, peak)
+    return _image_series(y, u0, u1, dt, image, peak)
 
 
-def _banded(
+def _near_block(
     x_in: np.ndarray,
     mass_in: np.ndarray,
     x_out: np.ndarray,
@@ -440,17 +465,30 @@ def _banded(
     dt: float,
     mirrors: tuple[float, ...],
 ) -> np.ndarray:
-    """The kernel entry by entry on the band's (output, input) pairs, summed
-    per output node; an output node with no input in its band gets 0.  Each
-    entry is the free Gaussian times :func:`_wall_factor`, plus the
-    both-walls remainder on a narrow corridor."""
-    row, col = _band_strip(x_in, x_out, dt)
-    x, y = x_out[row], x_in[col]
-    gauss = np.exp(-np.square(x - y) / (2.0 * dt))
-    kernel = _wall_factor(y, x, g0, g1, dt, mirrors) * gauss
-    if _narrow(mirrors, g0, g1, dt):
-        kernel += _kernel_remainder(x_in, col, x, g0, g1, dt, float(gauss.max(initial=0.0)))
-    out = np.bincount(row, kernel * mass_in[col], minlength=x_out.size)
+    """The kernel as a dense block from the inputs within
+    ``_BAND_SIGMAS * sqrt(dt)`` of the outputs ``x_out``, one contiguous
+    slice of the sorted ``x_in``, applied to their masses by one matrix
+    product.  Each entry is the free Gaussian times :func:`_wall_factor`,
+    plus the both-walls remainder on a narrow corridor.  The outputs go
+    ``_SLAB_NODES`` at a time, each slab against its own slice of inputs; a
+    slab with no input in reach gets 0."""
+    reach = _BAND_SIGMAS * math.sqrt(dt)
+    narrow = _narrow(mirrors, g0, g1, dt)
+    out = np.empty(x_out.size)
+    for start in range(0, x_out.size, _SLAB_NODES):
+        x = x_out[start : start + _SLAB_NODES, None]
+        lo = np.searchsorted(x_in, x[0, 0] - reach, side="left")
+        hi = np.searchsorted(x_in, x[-1, 0] + reach, side="right")
+        y = x_in[lo:hi]
+        gauss = np.subtract(x, y)
+        np.square(gauss, out=gauss)
+        gauss /= -2.0 * dt
+        np.exp(gauss, out=gauss)
+        kernel = _wall_factor(y, x, g0, g1, dt, mirrors)
+        kernel *= gauss
+        if narrow:
+            kernel += _kernel_remainder(y, x, g0, g1, dt, float(gauss.max(initial=0.0)))
+        out[start : start + x.shape[0]] = kernel @ mass_in[lo:hi]
     return out / math.sqrt(2.0 * math.pi * dt)
 
 
@@ -500,8 +538,8 @@ def _propagate(
 
     The output's free cells (module docstring), a prefix of ``cells_out``,
     take the free Gaussian from every full input cell of ``cells_in``,
-    summed by :func:`_toeplitz`; every other output node takes the band from
-    every input node, by :func:`_banded`.
+    summed by :func:`_toeplitz`; every other output node takes the near
+    block, by :func:`_near_block`.
     """
     h = _PANEL_SIGMAS * math.sqrt(dt)
     free = 0
@@ -513,12 +551,12 @@ def _propagate(
             math.floor(g0 / h) - _WALL_CELLS - _REACH_CELLS - first,
         )
     if free <= 0:
-        return _banded(x_in, mass_in, x_out, g0, g1, dt, mirrors)
+        return _near_block(x_in, mass_in, x_out, g0, g1, dt, mirrors)
     n = _PANEL_ORDER * free
     full = mass_in[cells_in.first_node :][: _PANEL_ORDER * cells_in.count]
     out = np.empty(x_out.size)
     out[:n] = _toeplitz(full, cells_in.first_cell, first, free) / math.sqrt(2.0 * math.pi * dt)
-    out[n:] = _banded(x_in, mass_in, x_out[n:], g0, g1, dt, mirrors)
+    out[n:] = _near_block(x_in, mass_in, x_out[n:], g0, g1, dt, mirrors)
     return out
 
 

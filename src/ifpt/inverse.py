@@ -11,7 +11,8 @@ unknown, so it has a unique root, and one search finds it for every block
 derivative, then bracket growth and safeguarded regula falsi (Illinois
 variant; Dowell & Jarratt, BIT 11, 1971) from the points already evaluated.
 Block 0 starts from the level at which the constant-boundary cdf's leading
-reflection term carries the target mass.  A slope's crossing-mass
+reflection term carries the target mass, or, in the corridor's spectral
+regime, its leading spectral term.  A slope's crossing-mass
 evaluation returns its derivative from the same per-node pass
 (:func:`crossing_mass`), except on a narrow corridor or where a crossing
 rounds above 1.  Blocks 1 and 2 start from slope 0; block m >= 3 from the
@@ -42,7 +43,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtri
 
-from .closed_form import _REFLECTION_MIN, constant_boundary_cdf
+from .closed_form import _REFLECTION_MIN, SERIES_MAX_TERMS, constant_boundary_cdf
 from .core import (
     BlockSolveRecord,
     BoundarySide,
@@ -200,6 +201,21 @@ def _root_search(
     )
 
 
+def _spectral_level_slope(z: float, t1: float) -> float:
+    """Derivative in the level z of the corridor's constant-level cdf in its
+    spectral form, 1 - sum_j (-1)^j (4/(pi q)) exp(-q^2 pi^2 t1 / (8 z^2)),
+    q = 2j + 1: -sum_j (-1)^j (4/(pi q)) exp(...) q^2 pi^2 t1 / (4 z^3)."""
+    lam = math.pi**2 * t1 / (8.0 * z * z)
+    total = 0.0
+    for j in range(SERIES_MAX_TERMS):
+        q = 2 * j + 1
+        term = (-1) ** j * 8.0 * q * lam / (math.pi * z) * math.exp(-q * q * lam)
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            return -total
+    raise ConvergenceError("constant-level spectral derivative did not converge")
+
+
 def solve_first_block(
     d: TargetDistribution, grid: DyadicGrid, side: BoundarySide
 ) -> tuple[float, BlockSolveRecord]:
@@ -212,8 +228,12 @@ def solve_first_block(
     starts from the level at which the leading reflection term of the k
     walls (k = 1 upper, 2 on the corridor) carries the target mass,
     z = -sqrt(t1)·Phi^-1(mass / 2k), exact on the upper side, and takes that
-    term's derivative for its Newton steps; the corridor's spectral regime
-    (z / sqrt(t1) below ``_REFLECTION_MIN``) gets none.
+    term's derivative for its Newton steps.  In the corridor's spectral
+    regime (z / sqrt(t1) below ``_REFLECTION_MIN``) the leading spectral
+    term takes its place: the start is the level at which it leaves the
+    target survival 1 - mass, z = pi·sqrt(t1) / sqrt(8·log(4 / (pi·(1 - mass)))),
+    and Newton takes the spectral series' derivative
+    (:func:`_spectral_level_slope`).
     """
     t1 = grid.knot(1)
     target = block_mass(d, 0.0, t1)
@@ -225,17 +245,22 @@ def solve_first_block(
     root_t1 = math.sqrt(t1)
     peak = -2.0 * walls / math.sqrt(2.0 * math.pi * t1)  # the leading term's derivative at z = 0
 
+    def spectral(x: float) -> bool:
+        return walls == 2 and x < _REFLECTION_MIN
+
     def objective(z: float) -> tuple[float, float]:
         if z <= 0.0:
             return 1.0, math.nan
         x = z / root_t1
-        if walls == 2 and x < _REFLECTION_MIN:
-            derivative = math.nan
+        if spectral(x):
+            derivative = _spectral_level_slope(z, t1)
         else:
             derivative = peak * math.exp(-0.5 * x * x)
         return float(constant_boundary_cdf(z, t1, side)), derivative
 
     start = -root_t1 * float(ndtri(target / (2 * walls)))
+    if spectral(start / root_t1):
+        start = math.pi * root_t1 / math.sqrt(8.0 * math.log(4.0 / (math.pi * (1.0 - target))))
     return _root_search(objective, target, start, 0.5 * start, 0)
 
 

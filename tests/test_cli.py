@@ -139,6 +139,14 @@ class TestInverseCommand:
                    "--out", tmp_path / "out") == 2
         assert f"{target}: abscissae must be strictly increasing" in capsys.readouterr().err
 
+    def test_nan_time_in_target_csv_exits_2_naming_the_file(self, tmp_path, capsys):
+        target = tmp_path / "nan.csv"
+        target.write_text("t,f\n0,1\nnan,1\n1,1\n")
+        assert run("inverse", "--target", target, "--T", 1, "--n", 2,
+                   "--out", tmp_path / "out") == 2
+        assert f"{target}: abscissae must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_level_above_cap_exits_2_before_sampling(self, tmp_path, monkeypatch, capsys):
         def no_sampling(*args, **kwargs):
             raise AssertionError("the target was sampled before the level check")

@@ -316,8 +316,10 @@ class TestBoundaryCsv:
             ("t,f\n0,1\n0.5,1,2\n1,1\n", r"t.csv:3: expected 2 columns"),
             ("t,f\n0,1\n0.5,one\n1,1\n", r"t.csv:3: could not convert"),
             ("t,f\n0,1\n0.5,1\n0.4,1\n", r"t.csv: abscissae must be strictly increasing"),
+            ("t,f\n0,1\nnan,1\n1,1\n", r"t.csv: abscissae must be finite"),
+            ("t,f\n0,1\n0.5,1\ninf,1\n", r"t.csv: abscissae must be finite"),
         ],
-        ids=["header", "columns", "value", "unsorted"],
+        ids=["header", "columns", "value", "unsorted", "nan", "inf"],
     )
     def test_target_csv_rejects_bad_files(self, tmp_path, text, message):
         p = tmp_path / "t.csv"

@@ -22,11 +22,11 @@ from ifpt import (
 from ifpt.core import ConvergenceError, NumericalConsistencyError
 from ifpt.forward import (
     ORIGIN,
+    _SLAB_NODES,
     _TOEPLITZ,
     _TRUNCATION_SIGMAS,
     _WIDE,
     _XG,
-    _band_strip,
     _crossing,
     _narrow,
     _propagate,
@@ -402,12 +402,12 @@ def _recorded_table(b, kernel, monkeypatch):
 
 
 class TestBandedPropagation:
-    """The banded propagation against the literal dense kernel, on the upper
-    side here and on the corridor in the subclass."""
+    """The propagation against the literal dense kernel, on the upper side
+    here and on the corridor in the subclass."""
 
     side = BoundarySide.UPPER_ONLY
-    #: largest share of the input nodes one output node's band may span at n = 10
-    band_share = 1 / 4
+    #: largest share of inputs x outputs the near block may hold at n = 10
+    near_share = 1 / 50
 
     def assert_matches_dense(self, b, monkeypatch):
         values, table = _recorded_table(b, _propagate, monkeypatch)
@@ -437,85 +437,127 @@ class TestBandedPropagation:
         b = PiecewiseLinearBoundary(self.side, grid, knots)
         self.assert_matches_dense(b, monkeypatch)
 
-    def last_blocks(self, level):
+    def last_blocks(self, level, g=1.0):
         # the widest blocks are the last ones; their node sets depend only on
         # the window, so two steps from a point mass reach them
         dt = 2.0**-level
         point = SubDensity(
             time=1.0 - 2.0 * dt, nodes=np.zeros(1), weights=np.ones(1), values=np.ones(1)
         )
-        before = propagated_subdensity(point, 1.0, 1.0, dt, self.side)
+        before = propagated_subdensity(point, g, g, dt, self.side)
         return before, dt
 
-    def test_band_is_narrow_at_level_10(self):
-        before, dt = self.last_blocks(10)
-        after = propagated_subdensity(before, 1.0, 1.0, dt, self.side)
-        row, col = _band_strip(before.nodes, after.nodes, dt)
-        pairs = np.bincount(row, minlength=after.nodes.size)
-        assert pairs.min() > 0
-        assert pairs.max() < before.nodes.size * self.band_share
-
-    def test_explicit_entries_do_not_grow_with_level(self, monkeypatch):
-        # from n = 10 to 12 the last block's nodes double, while the entries
-        # evaluated one by one stay near the walls
+    def near_blocks(self, state, g0, g1, dt, monkeypatch):
+        """The propagated state, and the (inputs, outputs) of each slab of
+        the near block: the arguments the wall factor was evaluated on."""
         import ifpt.forward as fw
 
+        slabs = []
+
+        def wall_factor(y, x, *args, real=fw._wall_factor):
+            slabs.append((y, x))
+            return real(y, x, *args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(fw, "_wall_factor", wall_factor)
+            after = propagated_subdensity(state, g0, g1, dt, self.side)
+        return after, slabs
+
+    def test_near_block_is_small_at_level_10(self, monkeypatch):
+        before, dt = self.last_blocks(10)
+        after, slabs = self.near_blocks(before, 1.0, 1.0, dt, monkeypatch)
+        reach = 9.0 * math.sqrt(dt)
+        for y, x in slabs:
+            # every output of the block has an input within its band
+            assert np.all(np.min(np.abs(x - y), axis=1) <= reach)
+        entries = sum(np.broadcast(y, x).size for y, x in slabs)
+        assert entries < self.near_share * before.nodes.size * after.nodes.size
+
+    def test_near_block_entries_do_not_grow_with_level(self, monkeypatch):
+        # from n = 10 to 12 the last block's nodes double, while the entries
+        # evaluated one by one stay near the walls
         nodes, entries = [], []
         for level in (10, 12):
             before, dt = self.last_blocks(level)
-            pairs = []
-
-            def record(x_in, x_out, dt):
-                row, col = _band_strip(x_in, x_out, dt)
-                pairs.append(row.size)
-                return row, col
-
-            with monkeypatch.context() as mp:
-                mp.setattr(fw, "_band_strip", record)
-                after = propagated_subdensity(before, 1.0, 1.0, dt, self.side)
+            after, slabs = self.near_blocks(before, 1.0, 1.0, dt, monkeypatch)
             nodes.append(after.nodes.size)
-            entries.append(sum(pairs))
+            entries.append(sum(np.broadcast(y, x).size for y, x in slabs))
         assert 1.8 < nodes[1] / nodes[0] < 2.2
         assert entries[1] < 1.25 * entries[0]
 
-    def test_wall_factor_evaluates_only_the_band(self, monkeypatch):
-        # each band call evaluates the wall factor once per input node within
-        # 9 standard deviations of an output node, and on no other entry
+    def test_wall_factor_evaluates_only_the_near_block(self, monkeypatch):
+        # each near block evaluates the wall factor once per slab of its
+        # outputs, on the inputs within 9 standard deviations of the slab's
+        # ends, and on no other entry
         import ifpt.forward as fw
         from ifpt import construct_boundary
 
         b = construct_boundary(exponential_target(1.0), 1.0, 8, self.side).boundary
         calls = []
 
-        def banded(x_in, mass_in, x_out, g0, g1, dt, mirrors, real=fw._banded):
+        def near_block(x_in, mass_in, x_out, g0, g1, dt, mirrors, real=fw._near_block):
             calls.append({"x_in": x_in, "x_out": x_out, "dt": dt, "entries": []})
             return real(x_in, mass_in, x_out, g0, g1, dt, mirrors)
 
-        def wall_factor(y, *args, real=fw._wall_factor):
-            calls[-1]["entries"].append(np.size(y))
-            return real(y, *args)
+        def wall_factor(y, x, *args, real=fw._wall_factor):
+            calls[-1]["entries"].append(np.broadcast(y, x).size)
+            return real(y, x, *args)
 
         with monkeypatch.context() as mp:
-            mp.setattr(fw, "_banded", banded)
+            mp.setattr(fw, "_near_block", near_block)
             mp.setattr(fw, "_wall_factor", wall_factor)
             fpt_distribution_table(b)
         assert len(calls) == b.grid.blocks
         for c in calls:
-            # written as the band's two comparisons: lattice nodes three
-            # cells apart sit exactly 9 standard deviations apart
             reach = 9.0 * math.sqrt(c["dt"])
-            x, y = c["x_out"][:, None], c["x_in"][None, :]
-            expect = int(np.count_nonzero((y >= x - reach) & (y <= x + reach)))
-            assert c["entries"] == [expect]
+            y, expect = c["x_in"], []
+            for start in range(0, c["x_out"].size, _SLAB_NODES):
+                x = c["x_out"][start : start + _SLAB_NODES]
+                # written as two comparisons: lattice nodes three cells
+                # apart sit exactly 9 standard deviations apart
+                inputs = np.count_nonzero((y >= x[0] - reach) & (y <= x[-1] + reach))
+                expect.append(x.size * inputs)
+            assert c["entries"] == expect
+
+    def test_step_off_the_lattice(self, monkeypatch):
+        # a state on the level-n lattice pushed across a block of width
+        # 2 dt, whose lattice is sqrt(2) times as wide: no Toeplitz product,
+        # the near block takes the whole window (on the corridor, with the
+        # both-walls remainder at n = 6..7)
+        import ifpt.forward as fw
+
+        for level in range(6, 11):
+            before, dt = self.last_blocks(level, g=0.5)
+            args = (before, 0.5, 0.45, 2.0 * dt, self.side)
+            got = propagated_subdensity(*args)
+            with monkeypatch.context() as mp:
+                mp.setattr(fw, "_propagate", _dense_reference)
+                ref = propagated_subdensity(*args)
+            assert np.array_equal(got.nodes, ref.nodes)
+            assert np.max(np.abs(got.values - ref.values)) <= 1e-13
+
+    def test_step_off_the_lattice_memory_at_level_14(self):
+        import tracemalloc
+
+        before, dt = self.last_blocks(14)
+        tracemalloc.start()
+        try:
+            after = propagated_subdensity(before, 1.0, 1.0, 2.0 * dt, self.side)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert after.cells.width != before.cells.width
+        assert peak <= 16 * 2**20
 
 
 class TestBandedCorridor(TestBandedPropagation):
     """The same checks on the corridor, where the dense reference is the
     literal image sum, plus corridors that need the both-walls remainder.
-    The corridor's window is only 2g wide, so its band spans a larger share."""
+    The corridor's window is only 2g wide, so its near block is a larger
+    share."""
 
     side = BoundarySide.SYMMETRIC
-    band_share = 1 / 3
+    near_share = 1 / 5
 
     # a corridor must stay open: test_closing_corridor takes this one's place
     test_boundary_dipping_below_zero = None
@@ -640,7 +682,7 @@ class TestLattice:
 def _routes(side, level):
     """The solved exp(1) boundary at ``level`` and, for each propagation of
     its forward pass, the arguments of ``_propagate`` with those of the
-    ``_toeplitz`` and ``_banded`` calls it made."""
+    ``_toeplitz`` and ``_near_block`` calls it made."""
     import ifpt.forward as fw
     from ifpt import construct_boundary
 
@@ -657,12 +699,12 @@ def _routes(side, level):
         return call
 
     def propagate(*args, real=fw._propagate):
-        props.append({"args": args, "_toeplitz": [], "_banded": []})
+        props.append({"args": args, "_toeplitz": [], "_near_block": []})
         return real(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fw, "_toeplitz", spy("_toeplitz"))
-        mp.setattr(fw, "_banded", spy("_banded"))
+        mp.setattr(fw, "_near_block", spy("_near_block"))
         mp.setattr(fw, "_propagate", propagate)
         fpt_distribution_table(b)
     return b, props
@@ -670,7 +712,7 @@ def _routes(side, level):
 
 class TestRoutes:
     """Each output node of a propagation takes one route: the free prefix of
-    the window the Toeplitz product, every other node one band call."""
+    the window the Toeplitz product, every other node one near-block call."""
 
     @pytest.mark.parametrize("level", [8, 10])
     @pytest.mark.parametrize("side", SIDES, ids=["upper", "symmetric"])
@@ -679,7 +721,7 @@ class TestRoutes:
         assert len(props) == b.grid.blocks
         for p in props:
             x_in, mass_in, x_out, *_, cells_in, cells_out = p["args"]
-            assert len(p["_banded"]) == 1 and len(p["_toeplitz"]) <= 1
+            assert len(p["_near_block"]) == 1 and len(p["_toeplitz"]) <= 1
             n = 0
             for mass, c_in, c_out, count in p["_toeplitz"]:
                 # whole cells from the window's first, from every full input cell
@@ -687,10 +729,10 @@ class TestRoutes:
                 assert c_in == cells_in.first_cell
                 assert np.array_equal(mass, mass_in[cells_in.first_node :][: 12 * cells_in.count])
                 n = 12 * count
-            # the band takes every input and exactly the remaining outputs
-            band_in, band_mass, band_out = p["_banded"][0][:3]
-            assert band_in is x_in and band_mass is mass_in
-            assert np.array_equal(band_out, x_out[n:])
+            # the near block takes every input and exactly the remaining outputs
+            near_in, near_mass, near_out = p["_near_block"][0][:3]
+            assert near_in is x_in and near_mass is mass_in
+            assert np.array_equal(near_out, x_out[n:])
 
     @pytest.mark.parametrize("side", SIDES, ids=["upper", "symmetric"])
     def test_free_cells_keep_two_cells_from_the_walls(self, side):
@@ -977,7 +1019,7 @@ class TestImageSeriesReference:
 
 
 def _kernel_columns(x_in, x_out, u0, u1, dt):
-    # the banded corridor kernel as a matrix, one unit input mass at a time
+    # the corridor kernel as a matrix, one unit input mass at a time
     return np.column_stack(
         [_propagate(x_in, e, x_out, u0, u1, dt, CORRIDOR) for e in np.eye(x_in.size)]
     )

@@ -70,6 +70,17 @@ class TestSolveFirstBlock:
             assert rec.iterations <= 2
             assert abs(rec.residual) <= inv._residual_tol(rec.target_mass)
 
+    @pytest.mark.parametrize("rate, horizon", [(1.0, 12.0), (13.8, 1.0)])
+    def test_spectral_level_starts_at_its_root(self, rate, horizon):
+        # first-block masses of 0.998 and 0.999 put the corridor's level in
+        # the spectral regime; the start inverts the leading spectral term
+        # and Newton takes the series' derivative
+        _, rec = solve_first_block(exponential_target(rate), DyadicGrid(horizon, 1), SYM)
+        assert rec.target_mass > 0.99
+        assert rec.alpha / math.sqrt(horizon / 2.0) < inv._REFLECTION_MIN
+        assert rec.iterations <= 2
+        assert abs(rec.residual) <= inv._residual_tol(rec.target_mass)
+
     @pytest.mark.parametrize("side", [UP, SYM])
     def test_level_search_across_rates_horizons_and_levels(self, side):
         # first-block masses from 6e-12 to 0.999, on both sides of
