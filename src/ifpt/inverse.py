@@ -216,6 +216,21 @@ def _spectral_level_slope(z: float, t1: float) -> float:
     raise ConvergenceError("constant-level spectral derivative did not converge")
 
 
+def _reflection_level_slope(z: float, t1: float) -> float:
+    """Derivative in the level z of the corridor's constant-level cdf in its
+    reflection form, 4 sum_j (-1)^j Phi(-q z / sqrt(t1)), q = 2j + 1:
+    -(4 / sqrt(t1)) sum_j (-1)^j q phi(q z / sqrt(t1))."""
+    x = z / math.sqrt(t1)
+    total = 0.0
+    for j in range(SERIES_MAX_TERMS):
+        q = 2 * j + 1
+        term = (-1) ** j * q * math.exp(-0.5 * (q * x) ** 2)
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            return -4.0 * total / math.sqrt(2.0 * math.pi * t1)
+    raise ConvergenceError("constant-level reflection derivative did not converge")
+
+
 def solve_first_block(
     d: TargetDistribution, grid: DyadicGrid, side: BoundarySide
 ) -> tuple[float, BlockSolveRecord]:
@@ -227,8 +242,10 @@ def solve_first_block(
     matching level exists, is unique and strictly positive.  The search
     starts from the level at which the leading reflection term of the k
     walls (k = 1 upper, 2 on the corridor) carries the target mass,
-    z = -sqrt(t1)·Phi^-1(mass / 2k), exact on the upper side, and takes that
-    term's derivative for its Newton steps.  In the corridor's spectral
+    z = -sqrt(t1)·Phi^-1(mass / 2k), exact on the upper side.  Newton takes
+    the cdf's derivative: the one reflection term's on the upper side, the
+    whole reflection series' on the corridor
+    (:func:`_reflection_level_slope`).  In the corridor's spectral
     regime (z / sqrt(t1) below ``_REFLECTION_MIN``) the leading spectral
     term takes its place: the start is the level at which it leaves the
     target survival 1 - mass, z = pi·sqrt(t1) / sqrt(8·log(4 / (pi·(1 - mass)))),
@@ -243,7 +260,6 @@ def solve_first_block(
         )
     walls = 1 if side is BoundarySide.UPPER_ONLY else 2
     root_t1 = math.sqrt(t1)
-    peak = -2.0 * walls / math.sqrt(2.0 * math.pi * t1)  # the leading term's derivative at z = 0
 
     def spectral(x: float) -> bool:
         return walls == 2 and x < _REFLECTION_MIN
@@ -252,10 +268,12 @@ def solve_first_block(
         if z <= 0.0:
             return 1.0, math.nan
         x = z / root_t1
-        if spectral(x):
+        if walls == 1:
+            derivative = -2.0 / math.sqrt(2.0 * math.pi * t1) * math.exp(-0.5 * x * x)
+        elif spectral(x):
             derivative = _spectral_level_slope(z, t1)
         else:
-            derivative = peak * math.exp(-0.5 * x * x)
+            derivative = _reflection_level_slope(z, t1)
         return float(constant_boundary_cdf(z, t1, side)), derivative
 
     start = -root_t1 * float(ndtri(target / (2 * walls)))

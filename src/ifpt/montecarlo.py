@@ -1,22 +1,28 @@
 """Simulation oracle: bridge-corrected Monte Carlo hitting-time estimation
 and brute-force tensor quadrature for low block indices.
 
-Each fixed-size chunk of paths owns one counter-based Philox stream (its key
-is the seed and the chunk index), so the counts depend only on the seed and
-the path count and are reproducible bit for bit.  The chunk loop carries only
-the live paths, their positions compacted in chunk order, and stops once none
-is left.  Each step draws one normal and then one uniform per live path and
-gives the k-th of each to the k-th live path; dead paths draw nothing.  The
-law of the counts is that of a fresh N(0, 1) and U(0, 1) per live path and
-step: how many paths live at step s depends only on the draws before it, and
-the draws of step s are independent of those.  Counts differ
-from those of the earlier layout, which drew for every path of the chunk and
-discarded the draws of dead ones; the first step draws the same numbers, so
-the block-1 counts are unchanged.  At 2**19 paths on a solved level-6 exp(1)
-boundary, on one CPU of a 2-core x86 box, a simulate call makes 21.4M draws
-of each kind (33.6M before) and takes about 0.9 s (upper) or 1.4-1.7 s
-(corridor).  The draws alone take about 0.74 s, the step test 0.17 s (upper)
-or 0.6-0.8 s (corridor), and the compaction under 0.1 s.
+Each fixed-size chunk of paths owns one SFC64 stream, numpy's documented
+child stream c of the seed (``SeedSequence(seed, spawn_key=(c,))``), so the
+counts depend only on the seed and the path count and are reproducible bit
+for bit; unlike an entropy list [seed, c], the spawn key keeps the streams
+of different seeds apart (seed 2**32's chunk 0 is not seed 0's chunk 1).
+The chunk loop carries only the live paths, their positions compacted in
+chunk order, and stops once none is left.  Each step draws one normal and
+then one uniform per live path and gives the k-th of each to the k-th live
+path; dead paths draw nothing.  The law of the counts is that of a fresh
+N(0, 1) and U(0, 1) per live path and step: how many paths live at step s
+depends only on the draws before it, and the draws of step s are
+independent of those.  The draws, the breach test, the clip and the one-wall
+factors fill slices of scratch arrays made once per chunk; apart from byte
+masks and the corridor's screened few, the only array a step makes is the
+compacted positions of the paths that survive it.  At 2**19 paths on a
+solved level-6 exp(1) boundary, on one CPU of a noisy 2-core x86 box, a
+simulate call makes 21.4M draws of each kind and takes about 0.5-0.55 s
+(upper) or 0.75 s (corridor), against 0.75-0.8 s and 1.1-1.2 s on Philox
+streams with fresh arrays for every draw.  The draws take about 0.35 s of
+it (0.6 s on Philox), the step test 0.12 s (upper) or 0.35 s (corridor), and
+a corridor call takes about 6.5k minor page faults instead of 60-80k
+(``BENCH_montecarlo.json``).
 
 A path that stays inside the boundary over a step crosses it inside the step
 when its uniform ``u`` falls below the pinned-bridge crossing probability p
@@ -60,8 +66,8 @@ _SCREEN_SLACK = 1e-6
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Path count and the stream seed (one word of the Philox key, so
-    0 <= seed < 2**64).
+    """Path count and the stream seed (one 64-bit word, the entropy of the
+    chunks' ``SeedSequence``, so 0 <= seed < 2**64).
 
     Paths take one step per block, which is exact on the boundary's linear
     segments thanks to the bridge correction.
@@ -123,30 +129,33 @@ class EmpiricalHittingDistribution:
             w.writerow(["survivors", "", self.survivors, "%.17g" % f, "%.17g" % se])
 
 
-def _step_crossed(x0, x1, u, g0: float, g1: float, dt: float, symmetric: bool) -> np.ndarray:
-    """Mask of the live paths moving x0 -> x1 over one step that hit the
-    segment g0 -> g1: endpoint breaches, then inside paths whose uniform
-    ``u`` falls below their pinned-bridge crossing probability.
+def _step_crossed(x0, x1, u, g0: float, g1: float, dt: float, symmetric: bool, crossed, work):
+    """Mask, written into ``crossed``, of the live paths moving x0 -> x1 over
+    one step that hit the segment g0 -> g1: endpoint breaches, then inside
+    paths whose uniform ``u`` falls below their pinned-bridge crossing
+    probability.  On the corridor ``work`` holds two scratch arrays of the
+    paths' length; the upper side needs none.
 
     The factors are taken at ``x1`` clipped to the walls in place, which
     leaves inside paths as they are and keeps every exponent <= 0 on
-    breached ones, whose outcome is already fixed.  On the upper side the
-    factor is written over ``x0``.  On the corridor the two one-wall
-    factors screen the image series (module docstring); the lower wall's
-    factor is the upper one of the mirrored segment -g0 -> -g1, bit for bit,
-    since negation is exact."""
+    breached ones.  On the upper side the factor is written over ``x0``; a
+    breached path, clipped onto the wall, has the factor exp(-0) = 1 > u, so
+    ``u < factor`` is the whole test.  On the corridor the breaches are
+    tested first and the two one-wall factors screen the image series
+    (module docstring); the lower wall's factor is the upper one of the
+    mirrored segment -g0 -> -g1, bit for bit, since negation is exact."""
     if not symmetric:
-        crossed = x1 >= g1
         np.minimum(x1, g1, out=x1)
-        crossed |= u < bridge_crossing_upper(x0, x1, g0, g1, dt, out=x0)
-        return crossed
-    crossed = x1 >= g1
-    crossed |= x1 <= -g1
+        return np.less(u, bridge_crossing_upper(x0, x1, g0, g1, dt, out=x0), out=crossed)
+    bound, lower = work
+    # |x1| is exact, so |x1| >= g1 is the breach of either wall
+    np.greater_equal(np.absolute(x1, out=bound), g1, out=crossed)
     np.clip(x1, -g1, g1, out=x1)
-    bound = bridge_crossing_upper(x0, x1, g0, g1, dt, out=np.empty_like(x0))
-    bound += bridge_crossing_upper(x0, x1, -g0, -g1, dt, out=np.empty_like(x0))
+    bridge_crossing_upper(x0, x1, g0, g1, dt, out=bound)
+    bound += bridge_crossing_upper(x0, x1, -g0, -g1, dt, out=lower)
     bound += _SCREEN_SLACK
-    near = np.flatnonzero(~crossed & (u < bound))
+    near = np.flatnonzero(u < bound)
+    near = near[~crossed[near]]
     if near.size:
         crossed[near] = u[near] < bridge_crossing_symmetric(x0[near], x1[near], g0, g1, dt)
     return crossed
@@ -159,9 +168,13 @@ def _simulate_chunk(
 
     The loop carries the live paths only, their positions ``x`` compacted in
     chunk order, and stops once none is left.  Each step draws one normal and
-    then one uniform per live path from the chunk's Philox stream."""
+    then one uniform per live path from the chunk's SFC64 child stream,
+    ``SeedSequence(seed, spawn_key=(chunk_index,))``, which is bit for bit
+    ``SeedSequence(seed).spawn(chunk_index + 1)[chunk_index]``.
+    The draws and the step test fill leading slices of scratch arrays made
+    once per chunk; the live count never grows, so they always fit."""
     rng = np.random.Generator(
-        np.random.Philox(key=np.array([cfg.seed, chunk_index], dtype=np.uint64))
+        np.random.SFC64(np.random.SeedSequence(cfg.seed, spawn_key=(chunk_index,)))
     )
     g = b.knot_values
     dt = b.grid.block_width
@@ -169,22 +182,32 @@ def _simulate_chunk(
 
     hits = np.zeros(b.grid.blocks, dtype=np.int64)
     x = np.zeros(count)
+    normals = np.empty(count)
+    uniforms = np.empty(count)
+    crossed = np.empty(count, dtype=bool)
+    work = [np.empty(count) for _ in range(2 if symmetric else 0)]
     sqdt = math.sqrt(dt)
     for m in range(b.grid.blocks):
+        n = x.size
         # the k-th draws of the step go to the k-th live path; how many are
         # drawn depends only on earlier draws, so each is fresh and independent
-        x1 = rng.standard_normal(x.size)
+        x1 = rng.standard_normal(out=normals[:n])
         x1 *= sqdt
         x1 += x
-        u = rng.random(x.size)
-        crossed = _step_crossed(x, x1, u, float(g[m]), float(g[m + 1]), dt, symmetric)
-        dead = np.count_nonzero(crossed)
+        u = rng.random(out=uniforms[:n])
+        mask = _step_crossed(
+            x, x1, u, float(g[m]), float(g[m + 1]), dt, symmetric,
+            crossed[:n], [w[:n] for w in work],
+        )
+        dead = np.count_nonzero(mask)
         if dead:
             hits[m] += dead
-            if dead == x1.size:
+            if dead == n:
                 break
-            x1 = x1[~crossed]
-        x = x1
+            x = x1[~mask]
+        else:
+            # the old positions' array, at least n long, takes the next draws
+            normals, x = x, x1
     return hits
 
 
@@ -200,8 +223,9 @@ def simulate_hitting_times(
     whose uniform lies below the sum of the two one-wall factors plus a
     1e-6 slack; the rest cannot cross, so the counts are those the full
     series gives.
-    The paths run in chunks of ``_CHUNK``, the c-th on the Philox key
-    ``[seed, c]``, so the counts depend only on the seed and the path count.
+    The paths run in chunks of ``_CHUNK``, the c-th on the SFC64 child
+    stream ``SeedSequence(seed, spawn_key=(c,))``, so the counts depend only
+    on the seed and the path count.
     """
     hits = np.zeros(b.grid.blocks, dtype=np.int64)
     for c, start in enumerate(range(0, cfg.paths, _CHUNK)):

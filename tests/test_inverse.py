@@ -95,7 +95,9 @@ class TestSolveFirstBlock:
                     _, rec = solve_first_block(exponential_target(rate), grid, side)
                     assert abs(rec.residual) <= inv._residual_tol(rec.target_mass)
                     worst = max(worst, rec.iterations)
-        assert worst <= 16
+        # Newton takes the whole series' derivative on the corridor: at most
+        # 4 evaluations there, 1 on the upper side
+        assert worst <= 6
 
     def test_infeasible_first_mass(self):
         d = TargetDistribution(

@@ -63,13 +63,14 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "side, hits",
         [
-            (BoundarySide.UPPER_ONLY, [734, 6132, 8595, 8270, 7152, 6485, 5510, 4723]),
-            (BoundarySide.SYMMETRIC, [1423, 12344, 17025, 16368, 14496, 12560, 10860, 9302]),
+            (BoundarySide.UPPER_ONLY, [707, 6070, 8521, 8251, 7321, 6328, 5482, 4932]),
+            (BoundarySide.SYMMETRIC, [1434, 12430, 17051, 16542, 14525, 12441, 10652, 9360]),
         ],
     )
     def test_counts_are_the_sum_of_the_chunk_streams(self, side, hits):
         # 150 000 paths are chunks 0 and 1 of 65 536 and chunk 2 of 18 928,
-        # each on its own Philox key; the pinned counts fix that layout
+        # each on its own SFC64 child stream of the seed; the pinned counts
+        # fix that layout
         b = const_boundary(side, 3)
         cfg = SimConfig(paths=150_000, seed=3)
         chunks = sum(
@@ -91,6 +92,17 @@ class TestSimulate:
         assert np.array_equal(emp.hits, chunks)
         assert int(emp.hits.sum()) + emp.survivors == paths
 
+    def test_streams_of_different_seeds_do_not_collide(self):
+        # SeedSequence([seed, c]) would read seed 2**32's chunk 0 and seed 0's
+        # chunk 1 as the same entropy words; the spawn key keeps them apart
+        b = const_boundary(BoundarySide.UPPER_ONLY, 3)
+        wide = _simulate_chunk(b, SimConfig(paths=1, seed=2**32), 0, 20_000)
+        assert not np.array_equal(wide, _simulate_chunk(b, SimConfig(paths=1, seed=0), 1, 20_000))
+        top = SimConfig(paths=1, seed=2**64 - 1)
+        last = _simulate_chunk(b, top, 3, 20_000)
+        assert last.sum() > 0
+        assert np.array_equal(last, _simulate_chunk(b, top, 3, 20_000))
+
     def test_counts_add_up(self):
         b = const_boundary(BoundarySide.SYMMETRIC, 2)
         emp = simulate_hitting_times(b, SimConfig(paths=10_000, seed=2))
@@ -109,7 +121,7 @@ class TestSimulate:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(paths=0)
-        # the seed is one uint64 word of the Philox key
+        # the seed is one uint64 word, the entropy of the chunks' SeedSequence
         for seed in (-1, -3, 2**64, 2**64 + 5):
             with pytest.raises(ValueError, match="seed"):
                 SimConfig(paths=10, seed=seed)
@@ -227,10 +239,11 @@ class TestOracleTriangle:
 
 def _unscreened_chunk(b, cfg, chunk_index, count):
     """The chunk loop written out with the bridge factor evaluated on every
-    inside path: same Philox key and draw order as ``_simulate_chunk``, one
-    normal and then one uniform per live path, in chunk order."""
+    inside path: same SFC64 child stream and draw order as ``_simulate_chunk``,
+    one normal and then one uniform per live path, in chunk order, each step's
+    draws in fresh arrays."""
     rng = np.random.Generator(
-        np.random.Philox(key=np.array([cfg.seed, chunk_index], dtype=np.uint64))
+        np.random.SFC64(np.random.SeedSequence(cfg.seed).spawn(chunk_index + 1)[chunk_index])
     )
     dt = b.grid.block_width
     g = b.upper(b.grid.knots)
