@@ -47,43 +47,52 @@ at most 2*Phi(-c) (about 2.3e-19) of the survival.
 Most of the band is one constant matrix.  The quadrature panels sit on a
 lattice fixed for the whole solve: cells [k*h, (k+1)*h) of width
 h = 3*sqrt(dt), anchored at 0, each holding the 12 Gauss-Legendre nodes
-(k + 1/2)*h + h*xi_p/2.  The window's far ends are rounded out to lattice
+(k + 1/2)*h + h*xi_p/2, sliced from one lattice cached for the latest
+width (:func:`_lattice`).  The window's far ends are rounded out to lattice
 lines, so only a cell cut by a wall is not full; it is graded toward the
 wall, and a piece narrower than h/4 joins its neighbour cell while there is
 one (a corridor with g < 5h/4 has none: its window is the two wall pieces).
-An output cell is free when it is at least 2 cells (6 standard deviations)
-below x = g1 and every input cell within 3 cells of it, all that its band
-reaches, is at least 2 cells below x = g0.  Only the top of an engine
-window is walled: the upper window's cells start at -reach, below any
-wall, and the corridor's laid-out half at cell 0.  So the free cells are a
-prefix of the window's cells, counted from the lattice indices alone:
-min(count, floor(g1/h) - 2 - first, floor(g0/h) - 5 - first).  From an
-input y in a free cell's band to an output x in it, the upper wall's
-exponent -2(g1 - x)(g0 - y)/dt is at most -2*6*6 = -72, so the wall factor
-is 1 within exp(-72), below half an ulp of 1.  The corridor needs no more:
-a free cell exists only when g0 >= 6h and g1 >= 3h, and its outputs have
-x >= 0 and its band's inputs y > -3h, so the mirror wall's exponent
--2(g1 + x)(g0 + y)/dt is at most -2*9*9 = -162, and 2*m**2/dt >= 162 >
-``_WIDE`` rules out the both-walls remainder.  The input's wall pieces lie
-beyond the band of a free cell.  So the kernel into a free cell is the free
-Gaussian from the full input cells, which depends only on how many cells
-apart they are: for offsets o = -3..3, which cover the 9-sigma band, it is
-the 12 x 12 block K_o[p, q] = exp(-(3*o + 1.5*(xi_p - xi_q))**2 / 2), the
-same for every dt (Greengard & Strain's fast Gauss transform uses this
-translation invariance).  Each output node takes one route: the free prefix
-takes this product over every full input cell, and every other node, the
-suffix by the wall, the near block (:func:`_near_block`).  That is the
-kernel written out as a dense matrix: from the inputs within the band of
-any of its outputs, one contiguous slice of the sorted input nodes found by
-two ``searchsorted`` calls, and applied to their masses by one matrix
-product.  The slice also holds inputs beyond an output's own band; those
-entries are below exp(-40.5) of the peak and are kept, not masked.  The
-suffix holds about 90 nodes at every level, so the near block's cost does
-not grow with the window.  A window without free cells (the first blocks,
-narrow corridors), the point mass :data:`ORIGIN` and a state not on the
-block's lattice take the near block alone, in slabs of ``_SLAB_NODES``
-outputs with a slice each, so none of them forms a matrix over the whole
-window.
+Between full cells the free Gaussian depends only on how many cells apart
+they are: for offsets o = -3..3, which cover the 9-sigma band, it is the
+12 x 12 block K_o[p, q] = exp(-(3*o + 1.5*(xi_p - xi_q))**2 / 2), the same
+for every dt (Greengard & Strain's fast Gauss transform uses this
+translation invariance).  So every full output cell takes this Toeplitz
+product (:func:`_toeplitz`) from every full input cell, and the walls enter
+only near them, by their images.
+
+With a = g1 - x, b = g0 - y and d = g1 - g0, (x - y)**2 + 4ab =
+(a + b - d)**2 + 4bd, so the upper wall's kernel is
+
+    G(x - y) * (1 - exp(-2ab/dt)) = G(x - y) - exp(-2bd/dt) * G(x - (2g0 - y)),
+
+the free Gaussian less the wall's image, the Gaussian from y's mirror image
+across g0 (Anderson's series above is the two-wall form).  Inside the walls
+(a, b >= 0) the bound (a + b - d)**2 + 4bd >= (a + b - |d|)**2 holds for
+slopes of either sign, so the image is below exp(-40.5) of the Gaussian's
+peak once a + b >= 9*sqrt(dt) + |d|, the wall's zone.  On the corridor's
+laid-out half x > 0 the mirror wall's a, g1 + x, is at least the upper
+wall's, so a row out of the upper wall's zone is out of both.  So the
+dense block (:func:`_near_block`) takes only the rows by the walls: the
+full rows inside the zone of x = g1, the rows within the band of the
+input's wall pieces, whose nodes are off the lattice, and the output's wall
+piece.  Its entries are the kernel (:func:`_wall_factor`, both walls on
+the corridor) less the free Gaussian on the full-row by full-input part,
+which the Toeplitz product already summed: there they are the walls'
+images.  Its inputs are one contiguous slice of the sorted inputs found by
+two ``searchsorted`` calls: those within the band of its rows, from no
+lower than the inputs in the zone of x = g0 or in the band of the output's
+wall piece (on a corridor whose mirror wall's zone is in reach of a row,
+the whole band).  The slice also holds inputs beyond an output's own band,
+and full cells more than three cells apart, which the Toeplitz product
+skips, give their full rows the image alone; all of those entries are below
+exp(-40.5) of the peak and are kept, not masked.  At n = 8 the block holds
+about 72 x 72 entries, and no more at finer levels, so its cost does not
+grow with the window.  A window without full cells (the first blocks), a
+narrow corridor, a window whose rows are all by the walls, the point mass
+:data:`ORIGIN` and a state not on the block's lattice take the dense
+kernel alone, over every output.  Every dense block goes in slabs of
+``_SLAB_NODES`` outputs with a slice each, so none of them forms a matrix
+over the whole window.
 
 The corridor's density is even.  It starts from a point mass at 0 and the
 walls -g, g are symmetric under x -> -x, so the absorbed density is even at
@@ -101,14 +110,26 @@ full node set.
 
 Per-block crossing probabilities from a fixed state have closed forms, and
 so does their derivative in the block's end value, so slope candidates
-during root finding cost O(nodes) while the full propagation runs once per
-block.  Every state starts from :data:`ORIGIN`, the unit point mass at the
-origin that is the law of W_0: the first knot's density is one propagation
-step from it, like every later knot's from the knot before.
+during root finding cost O(nodes near the wall) while the full propagation
+runs once per block.  :func:`crossing_mass` sums only the nodes less than
+``_CUT_SIGMAS`` = 12 standard deviations below the wall's start.  A
+one-wall crossing grows toward its wall, so the crossing at a dropped node
+is at most c(x_cut) + c(x_0), at the last dropped node and at the first
+node (where the corridor's mirror wall's is largest), and the dropped part
+is at most that times their mass, and so times the state's survival; its
+slope derivative, -2u*e/dt per wall with e <= c, is at most
+2*u_max/dt times that, with u_max the largest |x| of a dropped node plus
+g0.  When either bound exceeds ``_CUT_TOL`` = 1e-16 of the kept sum, the
+full sum is taken.
+
+Every state starts from :data:`ORIGIN`, the unit point mass at the origin
+that is the law of W_0: the first knot's density is one propagation step
+from it, like every later knot's from the knot before.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -155,7 +176,7 @@ _PANEL_SIGMAS = 3.0
 #: entries beyond it are below exp(-81/2) of the peak.
 _BAND_SIGMAS = 9.0
 
-#: Output nodes per slab of the near block (:func:`_near_block`), eight
+#: Output nodes per slab of the dense block (:func:`_near_block`), eight
 #: cells' worth.  A slab's kernel is this many rows by the inputs within
 #: reach of them, so a window that takes no Toeplitz product, such as a
 #: state's off the block's lattice, never forms one matrix over the whole
@@ -166,20 +187,16 @@ _BAND_SIGMAS = 9.0
 _SLAB_NODES = 96
 
 #: Floor on the exponent of the corridor's far-wall term in
-#: :func:`_wall_factor`.  exp computes results near and below the smallest
-#: normal double, about exp(-708), many times slower; a term below
-#: exp(-700), about 1e-304, is lost beside the factor's other part unless
-#: the factor itself is below about 1e-288.
+#: :func:`_wall_factor` and of :func:`bridge_crossing_upper`.  exp computes
+#: results near and below the smallest normal double, about exp(-708), many
+#: times slower; a term below exp(-700), about 1e-304, is lost beside the
+#: factor's other part unless the factor itself is below about 1e-288, and
+#: no uniform draw but 0 lies below it.
 _EXP_FLOOR = -700.0
 
 #: Lattice cells the Toeplitz product reaches on either side: nodes of cells
 #: further apart are more than ``_BAND_SIGMAS`` standard deviations apart.
 _REACH_CELLS = int(_BAND_SIGMAS // _PANEL_SIGMAS)
-
-#: An output cell is free when each wall is at least this many cells from it
-#: and from every input cell of its band; there the wall factor is 1 within
-#: exp(-72).
-_WALL_CELLS = 2
 
 #: The corridor's both-walls remainder runs only while 2*min(u0, u1)**2/dt
 #: is below this; past it the remainder is below 2*exp(-45) (module docstring).
@@ -194,6 +211,13 @@ _TRUNCATION_SIGMAS = 8.0
 
 #: Slack allowed on the survival-monotonicity consistency check.
 _SURVIVAL_SLACK = 1e-9
+
+#: :func:`crossing_mass` leaves out the nodes more than this many standard
+#: deviations of the block below the wall's start ...
+_CUT_SIGMAS = 12.0
+
+#: ... when the bound on their part is at most this share of the kept sum.
+_CUT_TOL = 1e-16
 
 
 def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,16 +260,31 @@ def _nodes_weights(
     n = _PANEL_ORDER * (k1 - k0)
     x = np.empty(n + (_PIECE_X.size if walled else 0))
     w = np.empty_like(x)
-    # each full cell is the unit cell's rule shifted onto it
-    k = np.arange(k0, k1, dtype=float)[:, None]
-    x[:n].reshape(-1, _PANEL_ORDER)[:] = (k + 0.5) * h + (0.5 * h) * _XG
-    w[:n].reshape(-1, _PANEL_ORDER)[:] = (0.5 * h) * _WG
+    # the full cells, cut from the lattice of cells -r..r-1, r the power of
+    # 2 from reach on, so a solve's windows rebuild it only as they widen
+    r = 1 << (reach - 1).bit_length()
+    cells_x, cells_w = _lattice(h, r)
+    x[:n] = cells_x[_PANEL_ORDER * (k0 + r) :][:n]
+    w[:n] = cells_w[_PANEL_ORDER * (k0 + r) :][:n]
     if walled:
         # the wall piece [k1*h, g], graded toward the wall
         a = k1 * h
         x[n:] = a + (g - a) * _PIECE_X
         w[n:] = (g - a) * _PIECE_W
     return x, w, LatticeCells(h, k0, k1 - k0, 0)
+
+
+@functools.lru_cache(maxsize=1)
+def _lattice(h: float, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the lattice cells -r..r-1 of width ``h``, cell
+    by cell: each the unit cell's rule shifted onto it.  Only the latest
+    (width, r) is kept."""
+    k = np.arange(-r, r, dtype=float)[:, None]
+    x = ((k + 0.5) * h + (0.5 * h) * _XG).ravel()
+    w = np.tile((0.5 * h) * _WG, 2 * r)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 #: Wall signs of the corridor: the upper wall x = g and its mirror x = -g.
@@ -279,10 +318,12 @@ def _one_wall(x: np.ndarray, g0: float, g1: float, dt: float):
 
 def bridge_crossing_upper(x0, x1, g0: float, g1: float, dt: float, out=None):
     """Crossing probability of the pinned bridge below one linear segment,
-    exp(-2.0 * (g0 - x0) * (g1 - x1) / dt), written into ``out`` if given."""
+    exp(-2.0 * (g0 - x0) * (g1 - x1) / dt) with the exponent floored at
+    ``_EXP_FLOOR``, written into ``out`` if given."""
     e = np.multiply(-2.0, np.subtract(g0, x0, out=out), out=out)
     e = np.multiply(e, np.subtract(g1, x1), out=out)
-    return np.exp(np.divide(e, dt, out=out), out=out)
+    e = np.maximum(np.divide(e, dt, out=out), _EXP_FLOOR, out=out)
+    return np.exp(e, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +457,14 @@ def _wall_factor(y: np.ndarray, x: np.ndarray, g0: float, g1: float, dt: float, 
     """1 - sum of the pinned bridge's one-wall crossing probabilities
     e_s = exp(-2(g1 - s*x)(g0 - s*y)/dt) from ``y`` to ``x``, broadcast
     against each other."""
-    near, *far = (((-2.0 / dt) * (g1 - s * x)) * (g0 - s * y) for s in mirrors)
-    if not far:
+    near = ((-2.0 / dt) * (g1 - x)) * (g0 - y)
+    if len(mirrors) == 1:
         return np.negative(np.expm1(near, out=near), out=near)
+    far = ((-2.0 / dt) * (g1 + x)) * (g0 + y)
     # expm1 takes whichever wall's exponent is nearer 0, so the factor keeps
     # its relative accuracy by both walls of the corridor
-    lo = np.maximum(np.minimum(near, far[0]), _EXP_FLOOR)
-    np.expm1(np.maximum(near, far[0], out=near), out=near)
+    lo = np.maximum(np.minimum(near, far), _EXP_FLOOR)
+    np.expm1(np.maximum(near, far, out=near), out=near)
     near += np.exp(lo, out=lo)
     return np.negative(near, out=near)
 
@@ -464,6 +506,7 @@ def _near_block(
     g1: float,
     dt: float,
     mirrors: tuple[float, ...],
+    direct: tuple[int, int, int] | None = None,
 ) -> np.ndarray:
     """The kernel as a dense block from the inputs within
     ``_BAND_SIGMAS * sqrt(dt)`` of the outputs ``x_out``, one contiguous
@@ -471,20 +514,38 @@ def _near_block(
     product.  Each entry is the free Gaussian times :func:`_wall_factor`,
     plus the both-walls remainder on a narrow corridor.  The outputs go
     ``_SLAB_NODES`` at a time, each slab against its own slice of inputs; a
-    slab with no input in reach gets 0."""
+    slab with no input in reach gets 0.
+
+    ``direct`` = (rows, lo, hi) says that the first ``rows`` outputs already
+    hold the free Gaussian from the full input cells ``x_in[lo:hi]``: their
+    entries from those inputs are the kernel less it, the walls' images, and
+    the slices start no lower than the inputs that an image or the outputs
+    from ``rows`` on reach (module docstring).
+    """
     reach = _BAND_SIGMAS * math.sqrt(dt)
     narrow = _narrow(mirrors, g0, g1, dt)
+    rows, lo_full, hi_full = direct or (0, 0, 0)
+    floor = -math.inf
+    if direct is not None:
+        zone = reach + abs(g1 - g0)
+        floor = g0 - zone
+        if rows < x_out.size:
+            floor = min(floor, x_out[rows] - reach)
+        if -1.0 in mirrors and x_out[0] - reach < zone - g0:
+            floor = -math.inf
     out = np.empty(x_out.size)
     for start in range(0, x_out.size, _SLAB_NODES):
         x = x_out[start : start + _SLAB_NODES, None]
-        lo = np.searchsorted(x_in, x[0, 0] - reach, side="left")
-        hi = np.searchsorted(x_in, x[-1, 0] + reach, side="right")
+        lo = x_in.searchsorted(max(x[0, 0] - reach, floor), side="left")
+        hi = x_in.searchsorted(x[-1, 0] + reach, side="right")
         y = x_in[lo:hi]
         gauss = np.subtract(x, y)
         np.square(gauss, out=gauss)
         gauss /= -2.0 * dt
         np.exp(gauss, out=gauss)
         kernel = _wall_factor(y, x, g0, g1, dt, mirrors)
+        if rows > start:
+            kernel[: rows - start, max(lo_full - lo, 0) : max(hi_full - lo, 0)] -= 1.0
         kernel *= gauss
         if narrow:
             kernel += _kernel_remainder(y, x, g0, g1, dt, float(gauss.max(initial=0.0)))
@@ -517,8 +578,9 @@ def _toeplitz(mass: np.ndarray, c_in: int, c_out: int, n_out: int) -> np.ndarray
     hi = min(c_in + mass.shape[0], c_out + n_out + r)
     if hi > lo:
         pad[lo - c_out + r : hi - c_out + r] = mass[lo - c_in : hi - c_in]
-    windows = pad[np.arange(n_out)[:, None] + np.arange(2 * r + 1)]
-    return (windows.reshape(n_out, -1) @ _TOEPLITZ).ravel()
+    # row i reads the 2r + 1 cells from cell i of the padding, in place
+    windows = np.ndarray((n_out, _TOEPLITZ.shape[0]), buffer=pad, strides=pad.strides)
+    return (windows @ _TOEPLITZ).ravel()
 
 
 def _propagate(
@@ -536,27 +598,41 @@ def _propagate(
     s*x = g (s in ``mirrors``, g linear g0 -> g1), from point masses
     ``mass_in`` (weight times value) at ``x_in``.
 
-    The output's free cells (module docstring), a prefix of ``cells_out``,
-    take the free Gaussian from every full input cell of ``cells_in``,
-    summed by :func:`_toeplitz`; every other output node takes the near
-    block, by :func:`_near_block`.
+    When the input is on the output's lattice and the output holds full
+    cells (``cells_in``, ``cells_out``), every full output cell takes the
+    free Gaussian from every full input cell by :func:`_toeplitz`, and the
+    rows by the walls take the dense block less that Gaussian, by
+    :func:`_near_block`: the rows less than 9*sqrt(dt) + |g1 - g0| below
+    x = g1 and those within the band of the input's wall piece (module
+    docstring).  Otherwise, on a narrow corridor, and when those rows are
+    the whole window, every output takes the dense block alone.
     """
     h = _PANEL_SIGMAS * math.sqrt(dt)
-    free = 0
-    if cells_in is not None and cells_out is not None and cells_in.width == h:
-        first = cells_out.first_cell
-        free = min(
-            cells_out.count,
-            math.floor(g1 / h) - _WALL_CELLS - first,
-            math.floor(g0 / h) - _WALL_CELLS - _REACH_CELLS - first,
-        )
-    if free <= 0:
+    start = 0
+    if (
+        cells_in is not None
+        and cells_out is not None
+        and cells_in.width == h
+        and cells_out.count > 0
+        and not _narrow(mirrors, g0, g1, dt)
+    ):
+        lo = cells_in.first_node
+        hi = lo + _PANEL_ORDER * cells_in.count
+        reach = _BAND_SIGMAS * math.sqrt(dt)
+        edge = g1 - reach - abs(g1 - g0)
+        if hi < x_in.size:
+            edge = min(edge, x_in[hi] - reach)
+        start = int(x_out.searchsorted(edge, side="right"))
+    if start == 0:
         return _near_block(x_in, mass_in, x_out, g0, g1, dt, mirrors)
-    n = _PANEL_ORDER * free
-    full = mass_in[cells_in.first_node :][: _PANEL_ORDER * cells_in.count]
-    out = np.empty(x_out.size)
-    out[:n] = _toeplitz(full, cells_in.first_cell, first, free) / math.sqrt(2.0 * math.pi * dt)
-    out[n:] = _near_block(x_in, mass_in, x_out[n:], g0, g1, dt, mirrors)
+    n = _PANEL_ORDER * cells_out.count
+    out = np.zeros(x_out.size)
+    toeplitz = _toeplitz(mass_in[lo:hi], cells_in.first_cell, cells_out.first_cell, cells_out.count)
+    np.divide(toeplitz, math.sqrt(2.0 * math.pi * dt), out=out[:n])
+    if start < x_out.size:
+        out[start:] += _near_block(
+            x_in, mass_in, x_out[start:], g0, g1, dt, mirrors, (n - start, lo, hi)
+        )
     return out
 
 
@@ -630,8 +706,11 @@ def crossing_mass(state: SubDensity, g0: float, g1: float, dt: float, side: Boun
     crossing probability is even, so it is evaluated at the nodes x > 0
     only, against the mass folded onto them, when the state's lattice cells
     are mirrored (:attr:`SubDensity.folded`); a state without cells is
-    summed over every node.  The state's masses and their fold are computed
-    once per state, however many slopes are tried on it.
+    summed over every node.  The nodes more than ``_CUT_SIGMAS`` standard
+    deviations below g0 are left out while the bound on their part (module
+    docstring) is at most ``_CUT_TOL`` of the kept sum, and of its
+    derivative; otherwise every node is summed.  The state's masses and their
+    fold are computed once per state, however many slopes are tried on it.
 
     The derivative costs one multiply-add per node.  With u = g0 - x and
     d = g1 - g0, each wall's crossing is Phi(z1) + e, where
@@ -646,12 +725,28 @@ def crossing_mass(state: SubDensity, g0: float, g1: float, dt: float, side: Boun
     if state.nodes.size == 0:
         return 0.0, 0.0
     x, mass = state.folded if side is BoundarySide.SYMMETRIC else (state.nodes, state.mass)
-    c, dc = _crossing(x, g0, g1, dt, _mirrors(side))
-    value = float(mass @ c)
+    mirrors = _mirrors(side)
+    cut = int(x.searchsorted(g0 - _CUT_SIGMAS * math.sqrt(dt)))
+    if cut:
+        # the crossing at the first node and at the last dropped one bounds
+        # the crossing at every dropped node
+        c, dc = _crossing(np.concatenate((x[:1], x[cut - 1 :])), g0, g1, dt, mirrors)
+        bound = float(c[0] + c[1]) * state.survival
+        value = float(mass[cut:] @ c[2:])
+        slope = None if dc is None else float(mass[cut:] @ dc[2:])
+        u_max = g0 + max(abs(x[0]), abs(x[cut - 1]))
+        if bound > _CUT_TOL * value or (
+            slope is not None and bound * (2.0 * u_max / dt) > _CUT_TOL * abs(slope)
+        ):
+            cut = 0
+    if not cut:
+        c, dc = _crossing(x, g0, g1, dt, mirrors)
+        value = float(mass @ c)
+        slope = None if dc is None else float(mass @ dc)
     if value < -_SURVIVAL_SLACK:
         raise NumericalConsistencyError(f"negative block crossing probability {value:g}")
     clipped = min(max(value, 0.0), state.survival)
-    return clipped, (math.nan if dc is None or clipped != value else float(mass @ dc))
+    return clipped, (math.nan if slope is None or clipped != value else slope)
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,12 @@ from ifpt.forward import (
     _TOEPLITZ,
     _TRUNCATION_SIGMAS,
     _WIDE,
+    _WG,
     _XG,
     _crossing,
+    _lattice,
     _narrow,
+    _nodes_weights,
     _propagate,
     block_crossing_symmetric,
     bridge_crossing_symmetric,
@@ -271,6 +274,138 @@ class TestCrossingSlope:
         assert value == state.survival and math.isnan(slope)
 
 
+def _full_crossing_sum(state, g0, g1, dt, side):
+    """``crossing_mass`` with every node summed: the mass and its slope
+    derivative, clipped as ``crossing_mass`` clips them."""
+    mirrors = CORRIDOR if side is BoundarySide.SYMMETRIC else UPPER
+    x, mass = state.folded if side is BoundarySide.SYMMETRIC else (state.nodes, state.mass)
+    c, dc = _crossing(x, g0, g1, dt, mirrors)
+    value = float(mass @ c)
+    clipped = min(max(value, 0.0), state.survival)
+    return clipped, (math.nan if dc is None or clipped != value else float(mass @ dc))
+
+
+def _crossing_sizes(monkeypatch):
+    """Spy on the forward module's ``_crossing``: the list it fills with
+    the node count of each call."""
+    import ifpt.forward as fw
+
+    sizes = []
+
+    def crossing(x, *args, real=fw._crossing):
+        sizes.append(x.size)
+        return real(x, *args)
+
+    monkeypatch.setattr(fw, "_crossing", crossing)
+    return sizes
+
+
+class TestCrossingCut:
+    """``crossing_mass`` sums the nodes within 12 standard deviations below
+    the wall's start while the bound on the rest is at most 1e-16 of the
+    kept sum and of its derivative, and every node otherwise."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[(side, n) for side in SIDES for n in (8, 10)],
+        ids=["upper-8", "upper-10", "symmetric-8", "symmetric-10"],
+    )
+    def solved(self, request):
+        from ifpt import construct_boundary
+
+        side, n = request.param
+        b = construct_boundary(exponential_target(1.0), 1.0, n, side).boundary
+        return b, list(subdensities(b))
+
+    def test_cut_matches_the_full_sum(self, solved, monkeypatch):
+        # every block, at the solved slope and at trial slopes 10% either side
+        b, states = solved
+        g, dt = b.knot_values, b.grid.block_width
+        sizes = _crossing_sizes(monkeypatch)
+        calls = cut = 0
+        for m, s in enumerate(states[:-1], start=1):
+            g0 = float(g[m])
+            for f in (1.0, 0.9, 1.1):
+                g1 = g0 + f * float(b.slopes[m]) * dt
+                del sizes[:]
+                value, slope = crossing_mass(s, g0, g1, dt, b.side)
+                ref_value, ref_slope = _full_crossing_sum(s, g0, g1, dt, b.side)
+                assert abs(value - ref_value) <= 1e-15 * ref_value
+                assert math.isnan(slope) == math.isnan(ref_slope)
+                assert math.isnan(slope) or abs(slope - ref_slope) <= 1e-15 * abs(ref_slope)
+                calls += 1
+                cut += len(sizes) == 1 and sizes[0] < s.nodes.size
+        # no fallback on exp(1): only the first blocks, whose windows hold no
+        # node that far below the wall, sum every node
+        assert cut >= calls - 3 * 3
+
+    def test_line_target_falls_back_to_the_full_sum(self, line_target, monkeypatch):
+        # the line target 1 + t/2: blocks 1 and 2 cross from about 10.7 standard
+        # deviations below the wall, so their bound fails and every node is
+        # summed, bit for bit as the full sum; the later blocks take the cut
+        from ifpt import construct_boundary
+
+        side = BoundarySide.UPPER_ONLY
+        b = construct_boundary(line_target(0.5, 1.0), 1.0, 8, side).boundary
+        g, dt = b.knot_values, b.grid.block_width
+        sizes = _crossing_sizes(monkeypatch)
+        for m, s in enumerate(subdensities(b), start=1):
+            if m == b.grid.blocks:
+                break
+            g0, g1 = float(g[m]), float(g[m + 1])
+            del sizes[:]
+            got = crossing_mass(s, g0, g1, dt, side)
+            if m <= 2:
+                assert len(sizes) == 2 and sizes[0] < sizes[1] == s.nodes.size
+                assert got == _full_crossing_sum(s, g0, g1, dt, side)
+            else:
+                assert len(sizes) == 1 and sizes[0] < s.nodes.size
+
+    @pytest.mark.parametrize("side", SIDES, ids=["upper", "symmetric"])
+    def test_mass_only_below_the_cut_is_summed(self, side):
+        # a state with the mass of its middle cells only, all of it more than
+        # 12 standard deviations below the wall: the kept sum is 0, so the
+        # bound on the dropped part fails and every node is summed
+        dt = 2.0**-8
+        point = SubDensity(time=0.5 - dt, nodes=np.zeros(1), weights=np.ones(1), values=np.ones(1))
+        state = propagated_subdensity(point, 1.0, 1.0, dt, side)
+        values = np.where(np.abs(state.nodes) < 0.25, state.values, 0.0)
+        middle = SubDensity(state.time, state.nodes, state.weights, values, state.cells)
+        got = crossing_mass(middle, 1.0, 1.0, dt, side)
+        assert got == _full_crossing_sum(middle, 1.0, 1.0, dt, side)
+        assert 0.0 < got[0] < 1e-30
+
+    def test_unfolded_corridor_state_keeps_its_mirror_wall(self):
+        # a corridor state made outside the forward engine is summed over
+        # all its nodes; those by the mirror wall lie below the cut of the
+        # upper one but cross, so the bound must not drop them
+        nodes = np.linspace(-0.99, 0.99, 199)
+        state = SubDensity(time=0.5, nodes=nodes, weights=np.full(199, 0.01),
+                           values=np.full(199, 0.5))
+        got = crossing_mass(state, 1.0, 1.0, 1e-3, BoundarySide.SYMMETRIC)
+        assert got == _full_crossing_sum(state, 1.0, 1.0, 1e-3, BoundarySide.SYMMETRIC)
+        assert got[0] > 0.01
+
+    def test_slope_bound_alone_can_take_the_full_sum(self, monkeypatch):
+        # one node dropped and one kept, the kept one's mass set so that the
+        # bound on the crossing, 2*c(x_0) times the survival (about the
+        # dropped mass), holds and the one on its slope derivative,
+        # 2*u_max/dt times larger, does not
+        g0 = g1 = 1.0
+        dt = 1e-3
+        x = np.array([1.0 - 13.0 * math.sqrt(dt), 1.0 - 0.5 * math.sqrt(dt)])
+        c, dc = _crossing(x, g0, g1, dt, UPPER)
+        bound = 2.0 * c[0] * 0.5
+        kept = 2.0 * bound / (1e-16 * c[1])
+        assert bound <= 1e-16 * kept * c[1]
+        assert bound * 2.0 * (g0 - x[0]) / dt > 1e-16 * kept * abs(dc[1])
+        state = SubDensity(time=0.5, nodes=x, weights=np.ones(2), values=np.array([0.5, kept]))
+        sizes = _crossing_sizes(monkeypatch)
+        got = crossing_mass(state, g0, g1, dt, BoundarySide.UPPER_ONLY)
+        assert sizes == [3, 2]
+        assert got == _full_crossing_sum(state, g0, g1, dt, BoundarySide.UPPER_ONLY)
+
+
 class TestFptTable:
     def test_constant_boundary_cdf_at_horizon(self):
         b = const_boundary(BoundarySide.UPPER_ONLY, 2)
@@ -437,6 +572,15 @@ class TestBandedPropagation:
         b = PiecewiseLinearBoundary(self.side, grid, knots)
         self.assert_matches_dense(b, monkeypatch)
 
+    def test_steep_slopes_on_a_wide_window(self, monkeypatch):
+        # the same slopes between 4 and 5.5, so that on both sides the
+        # Toeplitz product serves the rows far from the walls and the dense
+        # block reaches 9 sigma + |d| below them
+        grid = DyadicGrid(1.0, 5)
+        knots = np.where(np.arange(grid.blocks + 1) % 2 == 0, 4.0, 5.5)
+        b = PiecewiseLinearBoundary(self.side, grid, knots)
+        self.assert_matches_dense(b, monkeypatch)
+
     def last_blocks(self, level, g=1.0):
         # the widest blocks are the last ones; their node sets depend only on
         # the window, so two steps from a point mass reach them
@@ -486,18 +630,21 @@ class TestBandedPropagation:
         assert entries[1] < 1.25 * entries[0]
 
     def test_wall_factor_evaluates_only_the_near_block(self, monkeypatch):
-        # each near block evaluates the wall factor once per slab of its
-        # outputs, on the inputs within 9 standard deviations of the slab's
-        # ends, and on no other entry
+        # each dense block evaluates the wall factor once per slab of its
+        # outputs, on the inputs the rule names and on no other entry: those
+        # within 9 standard deviations of the slab's ends, and when the
+        # Toeplitz product took the full rows, none below the walls' zone
+        # and the band of the output's wall piece
         import ifpt.forward as fw
         from ifpt import construct_boundary
 
         b = construct_boundary(exponential_target(1.0), 1.0, 8, self.side).boundary
         calls = []
 
-        def near_block(x_in, mass_in, x_out, g0, g1, dt, mirrors, real=fw._near_block):
-            calls.append({"x_in": x_in, "x_out": x_out, "dt": dt, "entries": []})
-            return real(x_in, mass_in, x_out, g0, g1, dt, mirrors)
+        def near_block(x_in, mass_in, x_out, g0, g1, dt, mirrors, direct=None,
+                       real=fw._near_block):
+            calls.append({"args": (x_in, x_out, g0, g1, dt, direct), "entries": []})
+            return real(x_in, mass_in, x_out, g0, g1, dt, mirrors, direct)
 
         def wall_factor(y, x, *args, real=fw._wall_factor):
             calls[-1]["entries"].append(np.broadcast(y, x).size)
@@ -507,17 +654,29 @@ class TestBandedPropagation:
             mp.setattr(fw, "_near_block", near_block)
             mp.setattr(fw, "_wall_factor", wall_factor)
             fpt_distribution_table(b)
-        assert len(calls) == b.grid.blocks
+        assert len(calls) > b.grid.blocks * 0.9
+        routed = 0
         for c in calls:
-            reach = 9.0 * math.sqrt(c["dt"])
-            y, expect = c["x_in"], []
-            for start in range(0, c["x_out"].size, _SLAB_NODES):
-                x = c["x_out"][start : start + _SLAB_NODES]
+            y, x_out, g0, g1, dt, direct = c["args"]
+            reach = 9.0 * math.sqrt(dt)
+            floor = -math.inf
+            if direct is not None:
+                routed += 1
+                rows, zone = direct[0], reach + abs(g1 - g0)
+                floor = g0 - zone
+                if rows < x_out.size:
+                    floor = min(floor, x_out[rows] - reach)
+                if self.side is BoundarySide.SYMMETRIC and x_out[0] - reach < zone - g0:
+                    floor = -math.inf
+            expect = []
+            for start in range(0, x_out.size, _SLAB_NODES):
+                x = x_out[start : start + _SLAB_NODES]
                 # written as two comparisons: lattice nodes three cells
                 # apart sit exactly 9 standard deviations apart
-                inputs = np.count_nonzero((y >= x[0] - reach) & (y <= x[-1] + reach))
+                inputs = np.count_nonzero((y >= max(x[0] - reach, floor)) & (y <= x[-1] + reach))
                 expect.append(x.size * inputs)
             assert c["entries"] == expect
+        assert routed > b.grid.blocks // 2
 
     def test_step_off_the_lattice(self, monkeypatch):
         # a state on the level-n lattice pushed across a block of width
@@ -678,15 +837,82 @@ class TestLattice:
                 assert np.max(np.abs(block - literal)) <= 4.0 * np.finfo(float).eps
 
 
+def _window_formula(corridor, g, t, dt):
+    """The window's nodes and weights written out cell by cell, as
+    ``_nodes_weights`` lays them out."""
+    from ifpt.forward import _PIECE_W, _PIECE_X
+
+    h = 3.0 * math.sqrt(dt)
+    reach = math.ceil(_TRUNCATION_SIGMAS * math.sqrt(t) / h)
+    walled = g <= reach * h
+    k1 = math.floor(g / h) if walled else reach
+    if walled and g - k1 * h < 0.25 * h and k1 > (0 if corridor else -reach):
+        k1 -= 1
+    k = np.arange(0 if corridor else -reach, k1, dtype=float)[:, None]
+    x = [((k + 0.5) * h + (0.5 * h) * _XG).ravel()]
+    w = [np.broadcast_to((0.5 * h) * _WG, (k.size, 12)).ravel()]
+    if walled:
+        a = k1 * h
+        x.append(a + (g - a) * _PIECE_X)
+        w.append((g - a) * _PIECE_W)
+    return np.concatenate(x), np.concatenate(w)
+
+
+class TestLatticeCache:
+    """The full cells' nodes and weights are sliced from one cached lattice."""
+
+    @pytest.mark.parametrize("side", SIDES, ids=["upper", "symmetric"])
+    def test_nodes_weights_are_the_cell_formula(self, side):
+        corridor = side is BoundarySide.SYMMETRIC
+        windows = 0
+        for level in range(1, 15):
+            dt = 2.0**-level
+            for t in (dt, 2.0 * dt, 0.3, 1.0, 12.0):
+                for g in (0.02, 0.3, 1.0, 2.5, 40.0) + (() if corridor else (-0.4,)):
+                    quad = _nodes_weights(corridor, g, t, dt)
+                    if quad is None:
+                        continue
+                    x, w = _window_formula(corridor, g, t, dt)
+                    assert np.array_equal(quad[0], x) and np.array_equal(quad[1], w)
+                    windows += 1
+        assert windows > 300
+
+    def test_cache_stays_bounded_across_a_ladder(self):
+        # a 3..14 ladder's windows, each level from its first knot to the
+        # horizon: one lattice is kept, at most twice as wide as the widest
+        # window of its level
+        for level in range(3, 15):
+            dt = 2.0**-level
+            h = 3.0 * math.sqrt(dt)
+            reach = 0
+            for t in np.linspace(dt, 1.0, 9):
+                for corridor in (False, True):
+                    _nodes_weights(corridor, 1.0, float(t), dt)
+                reach = max(reach, math.ceil(_TRUNCATION_SIGMAS * math.sqrt(t) / h))
+                assert _lattice.cache_info().currsize == 1
+            r = 1 << (reach - 1).bit_length()
+            hits = _lattice.cache_info().hits
+            x, _ = _lattice(h, r)
+            assert _lattice.cache_info().hits == hits + 1
+            assert reach * 24 <= x.size < 2 * reach * 24
+
+
 @functools.cache
-def _routes(side, level):
-    """The solved exp(1) boundary at ``level`` and, for each propagation of
-    its forward pass, the arguments of ``_propagate`` with those of the
-    ``_toeplitz`` and ``_near_block`` calls it made."""
+def _routes(side, level, boundary="exp1"):
+    """The solved exp(1) boundary at ``level`` (or with ``boundary="steep"``,
+    knots alternating 4 and 5.5, a corridor wide enough that the Toeplitz
+    product serves the rows near its middle) and, for each propagation of its forward
+    pass, the arguments of ``_propagate`` with those of the ``_toeplitz``
+    and ``_near_block`` calls it made."""
     import ifpt.forward as fw
     from ifpt import construct_boundary
 
-    b = construct_boundary(exponential_target(1.0), 1.0, level, side).boundary
+    if boundary == "steep":
+        grid = DyadicGrid(1.0, level)
+        knots = np.where(np.arange(grid.blocks + 1) % 2 == 0, 4.0, 5.5)
+        b = PiecewiseLinearBoundary(side, grid, knots)
+    else:
+        b = construct_boundary(exponential_target(1.0), 1.0, level, side).boundary
     props = []
 
     def spy(name):
@@ -711,51 +937,115 @@ def _routes(side, level):
 
 
 class TestRoutes:
-    """Each output node of a propagation takes one route: the free prefix of
-    the window the Toeplitz product, every other node one near-block call."""
+    """Each full output cell of a propagation takes the Toeplitz product from
+    every full input cell, and the rows by the walls one dense block that
+    less the free Gaussian the product summed; a window without full cells,
+    a narrow corridor and a state off the lattice take the dense block
+    alone."""
 
     @pytest.mark.parametrize("level", [8, 10])
     @pytest.mark.parametrize("side", SIDES, ids=["upper", "symmetric"])
     def test_one_route_per_output_node(self, side, level):
         b, props = _routes(side, level)
-        assert len(props) == b.grid.blocks
-        for p in props:
-            x_in, mass_in, x_out, *_, cells_in, cells_out = p["args"]
-            assert len(p["_near_block"]) == 1 and len(p["_toeplitz"]) <= 1
-            n = 0
-            for mass, c_in, c_out, count in p["_toeplitz"]:
-                # whole cells from the window's first, from every full input cell
-                assert c_out == cells_out.first_cell and 0 < count <= cells_out.count
-                assert c_in == cells_in.first_cell
-                assert np.array_equal(mass, mass_in[cells_in.first_node :][: 12 * cells_in.count])
-                n = 12 * count
-            # the near block takes every input and exactly the remaining outputs
-            near_in, near_mass, near_out = p["_near_block"][0][:3]
-            assert near_in is x_in and near_mass is mass_in
-            assert np.array_equal(near_out, x_out[n:])
+        assert self.routed(props)[0] > len(props) // 2
 
     @pytest.mark.parametrize("side", SIDES, ids=["upper", "symmetric"])
-    def test_free_cells_keep_two_cells_from_the_walls(self, side):
+    def test_steep_slopes_widen_the_dense_rows(self, side):
+        # slopes of +-48 at n = 5: |d| is 8.5 standard deviations, and on the
+        # falling blocks the zone of x = g1 reaches below the rows by the
+        # input's wall piece
+        _, props = _routes(side, 5, "steep")
+        routed, widened = self.routed(props)
+        assert routed > 0 and widened > 0
+
+    @staticmethod
+    def routed(props):
+        """Check each propagation's routes against the rule; the number of
+        them that took the Toeplitz product, and of those on the lattice
+        whose dense rows reach below the band of the input's wall piece."""
+        assert props
+        routed = widened = 0
+        for p in props:
+            x_in, mass_in, x_out, g0, g1, dt, mirrors, cells_in, cells_out = p["args"]
+            on_lattice = (
+                cells_in is not None
+                and cells_in.width == cells_out.width
+                and cells_out.count > 0
+                and not _narrow(mirrors, g0, g1, dt)
+            )
+            start = 0
+            if on_lattice:
+                # the dense rows: the output's wall piece, the full rows less
+                # than 9 sigma + |d| below a wall, and the rows within 9
+                # sigma of an input wall piece; they are a suffix
+                lo = cells_in.first_node
+                hi = lo + 12 * cells_in.count
+                reach, n = 9.0 * math.sqrt(dt), 12 * cells_out.count
+                zone = reach + abs(g1 - g0)
+                dense = np.arange(x_out.size) >= n
+                for s in mirrors:
+                    dense |= g1 - s * x_out < zone
+                by_piece = np.zeros(x_out.size, dtype=bool)
+                if hi < x_in.size:
+                    by_piece |= x_out > x_in[hi] - reach
+                if lo > 0:
+                    by_piece |= x_out < x_in[lo - 1] + reach
+                widened += bool(np.any(dense & ~by_piece & (np.arange(x_out.size) < n)))
+                dense |= by_piece
+                start = x_out.size - np.count_nonzero(dense)
+                assert np.all(dense[start:])
+            if start == 0:
+                # the dense block alone, over every output
+                assert p["_toeplitz"] == []
+                (near,) = p["_near_block"]
+                assert near[2] is x_out and len(near) == 7
+                continue
+            routed += 1
+            # every full output cell, from every full input cell
+            (toeplitz,) = p["_toeplitz"]
+            assert np.array_equal(toeplitz[0], mass_in[lo:hi])
+            assert toeplitz[1:] == (cells_in.first_cell, cells_out.first_cell, cells_out.count)
+            if start == x_out.size:
+                assert p["_near_block"] == []
+                continue
+            (near,) = p["_near_block"]
+            assert near[0] is x_in and near[1] is mass_in
+            assert np.array_equal(near[2], x_out[start:])
+            assert near[7] == (n - start, lo, hi)
+        return routed, widened
+
+    @pytest.mark.parametrize("side", SIDES, ids=["upper", "symmetric"])
+    def test_toeplitz_only_rows_are_clear_of_the_walls(self, side):
+        # the full rows the dense block leaves out are lattice nodes, no
+        # off-lattice input lies within their band, and the walls' images
+        # there are below exp(-40.5) of the Gaussian's peak from every input
         b, props = _routes(side, 10)
         h = 3.0 * math.sqrt(b.grid.block_width)
-        free = 0
+        checked = 0
         for p in props:
-            _, _, x_out, g0, g1, *_ = p["args"]
-            for _, _, first, count in p["_toeplitz"]:
-                stop = first + count
-                # 2 cells below x = g1, and so is their band of 3 cells
-                # either side below x = g0
-                assert stop * h + 2.0 * h <= g1 * (1.0 + 1e-15)
-                assert (stop + 3) * h + 2.0 * h <= g0 * (1.0 + 1e-15)
-                if side is BoundarySide.SYMMETRIC:
-                    assert first * h - 2.0 * h >= -g1 * (1.0 + 1e-15)
-                    assert (first - 3) * h - 2.0 * h >= -g0 * (1.0 + 1e-15)
-                # the prefix's nodes are the Gauss-Legendre nodes of those cells
-                cells = np.arange(first, stop)[:, None]
-                expect = (cells + 0.5) * h + 0.5 * h * _XG
-                assert np.allclose(x_out[: 12 * count], expect.ravel(), rtol=0.0, atol=1e-15)
-                free += 1
-        assert free > len(props) // 2
+            x_in, _, x_out, g0, g1, dt, mirrors, cells_in, cells_out = p["args"]
+            if not p["_toeplitz"]:
+                continue
+            start = x_out.size - sum(near[2].size for near in p["_near_block"])
+            if start == 0:
+                continue
+            x = x_out[:start]
+            first = cells_out.first_cell
+            cells = np.arange(first, first + start // 12)[:, None]
+            assert start % 12 == 0
+            assert np.allclose(x, ((cells + 0.5) * h + 0.5 * h * _XG).ravel(), rtol=0.0, atol=1e-15)
+            lo, hi = cells_in.first_node, cells_in.first_node + 12 * cells_in.count
+            off_lattice = np.r_[x_in[:lo], x_in[hi:]]
+            assert np.all(np.abs(x[:, None] - off_lattice) >= 9.0 * math.sqrt(dt))
+            # each image grows toward its wall: the upper one's largest on
+            # the top cell, the corridor's mirror one's on the bottom cell
+            for s in mirrors:
+                rows = x[-12:, None] if s > 0 else x[:12, None]
+                a, b_ = g1 - s * rows, g0 - s * x_in
+                image = np.exp(-(np.square(rows - x_in) + 4.0 * a * b_) / (2.0 * dt))
+                assert image.max() <= math.exp(-40.5)
+            checked += 1
+        assert checked > len(props) // 2
 
 
 class TestCorridorFold:

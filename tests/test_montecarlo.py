@@ -343,6 +343,18 @@ class TestScreenedBridge:
             assert np.array_equal(bridge_crossing_upper(x0, x1, g0, g1, dt, out=x0.copy()),
                                   bridge_crossing_upper(x0, x1, g0, g1, dt))
 
+    def test_upper_factor_floors_its_exponent(self):
+        # exponents below -700 give exp(-700), in place or not; above it the
+        # factor is the plain exponential
+        x0 = np.array([-30.0, -1.0, 0.0, 0.5])
+        x1 = np.array([-30.0, -1.0, 0.0, 0.5])
+        dt = 0.01
+        plain = np.exp(-2.0 * (1.0 - x0) * (1.0 - x1) / dt)
+        want = np.where(plain < math.exp(-700.0), math.exp(-700.0), plain)
+        assert want[0] == math.exp(-700.0) and want[1] == math.exp(-700.0) and want[3] > 0.0
+        for out in (None, x0.copy()):
+            assert np.array_equal(bridge_crossing_upper(x0, x1, 1.0, 1.0, dt, out=out), want)
+
     def test_loop_carries_live_paths_and_stops_when_none_is_left(self, monkeypatch):
         sizes = []
         step = montecarlo._step_crossed
