@@ -464,8 +464,11 @@ class LevelReport:
     level: int
     solution: InverseSolution
     sup_distance_prev: float | None
-    max_abs_slope: float
     nested_defect: float
+
+    @property
+    def max_abs_slope(self) -> float:
+        return self.solution.max_abs_slope
 
     def to_dict(self) -> dict:
         return {
@@ -536,7 +539,6 @@ def refine(
                 level=n,
                 solution=sol,
                 sup_distance_prev=sup_prev,
-                max_abs_slope=sol.max_abs_slope,
                 nested_defect=defect,
             )
         )

@@ -1,46 +1,59 @@
 """Simulation oracle: bridge-corrected Monte Carlo hitting-time estimation
 and brute-force tensor quadrature for low block indices.
 
-Each fixed-size chunk of paths owns one SFC64 stream, numpy's documented
-child stream c of the seed (``SeedSequence(seed, spawn_key=(c,))``), so the
-counts depend only on the seed and the path count and are reproducible bit
-for bit; unlike an entropy list [seed, c], the spawn key keeps the streams
-of different seeds apart (seed 2**32's chunk 0 is not seed 0's chunk 1).
+The paths run in chunks of 2**15, each on its own SFC64 stream, numpy's
+documented child stream c of the seed (``SeedSequence(seed,
+spawn_key=(c,))``); unlike an entropy list [seed, c], the spawn key keeps
+the streams of different seeds apart (seed 2**32's chunk 0 is not seed 0's
+chunk 1).  The chunks run on worker threads, one per CPU the process may
+use and at most one per chunk, each taking the next chunk no worker has
+taken.  numpy's draws and ufuncs release the GIL on arrays of a chunk's
+size, so the workers run concurrently.  Each chunk's counts are fixed by
+its stream and their sum is exact, so the counts depend only on the seed
+and the path count, never on the worker count, and are reproducible bit
+for bit (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC
+2011).  At 2**15 paths a chunk two workers hold the scratch arrays one
+worker held at 2**16.
+
 The chunk loop carries only the live paths, their positions compacted in
 chunk order, and stops once none is left.  Each step draws one normal and
 then one uniform per live path and gives the k-th of each to the k-th live
 path; dead paths draw nothing.  The law of the counts is that of a fresh
 N(0, 1) and U(0, 1) per live path and step: how many paths live at step s
 depends only on the draws before it, and the draws of step s are
-independent of those.  The draws, the breach test, the clip and the one-wall
-factors fill slices of scratch arrays made once per chunk; apart from byte
-masks and the corridor's screened few, the only array a step makes is the
-compacted positions of the paths that survive it.  At 2**19 paths on a
-solved level-6 exp(1) boundary, on one CPU of a noisy 2-core x86 box, a
-simulate call makes 21.4M draws of each kind and takes about 0.5-0.55 s
-(upper) or 0.75 s (corridor), against 0.75-0.8 s and 1.1-1.2 s on Philox
-streams with fresh arrays for every draw.  The draws take about 0.35 s of
-it (0.6 s on Philox), the step test 0.12 s (upper) or 0.35 s (corridor), and
-a corridor call takes about 6.5k minor page faults instead of 60-80k
-(``BENCH_montecarlo.json``).
+independent of those.  The draws, the breach test, the clip, the one-wall
+factors and the masks fill slices of scratch arrays made once per chunk;
+apart from the factor's difference g1 - x1 and the corridor's screened few,
+the only array a step makes is the compacted positions of the paths that
+survive it (``np.compress`` into the dead buffer allocates twice as much
+and takes ten times as long).  At 2**19 paths on a solved level-6 exp(1)
+boundary, on a noisy 2-core x86 box, a simulate call makes 21.4M draws of
+each kind and takes about 0.25-0.3 s (upper) or 0.4 s (corridor) on two
+workers, against 0.4-0.5 s and 0.55 s on one (``BENCH_workers.json``).
 
 A path that stays inside the boundary over a step crosses it inside the step
 when its uniform ``u`` falls below the pinned-bridge crossing probability p
 of the linear segment.  On the upper side p is one exponential.  On the
-symmetric corridor p is an image series, but it never exceeds the union
-bound e_up + e_lo of the two one-wall factors, each one exponential.  The
-series therefore runs only on paths with ``u < e_up + e_lo + _SCREEN_SLACK``
-(about 1% of path-steps on a solved corridor); every other inside path has
-u >= p and survives the step.  The slack (1e-6) covers the rounding gap
-between the series and the bound, at most 1.6e-9 measured with x**2/dt up to
-6e6 and slopes near 3e3.  The draws, their order and every crossing
-decision are those of testing every inside path against the full series,
-so the counts are too.
+symmetric corridor p is Anderson's image series (J. Appl. Probab., 1960).
+Touching either wall is at least as likely as touching one of them and at
+most as likely as touching the one plus touching the other, so
+max(e_up, e_lo) <= p <= e_up + e_lo for the two one-wall factors, each one
+exponential.  An inside path with ``u >= e_up + e_lo + _SCREEN_SLACK``
+survives the step, one with ``u < max(e_up, e_lo) - _SCREEN_SLACK`` has
+crossed, and the series runs only on the rest: 24 of 21.4M path-steps at
+2**19 paths, seed 0, on the solved level-6 corridor.  The slack (1e-6)
+covers the rounding gap between the series and either bound, at most
+1.3e-9 measured with x**2/dt up to 6e6 and slopes near 3e3.  The draws,
+their order and every crossing decision are those of testing every inside
+path against the full series, so the counts are too.
 """
 from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +71,10 @@ __all__ = [
     "brute_force_block_check",
 ]
 
-_CHUNK = 1 << 16
-# margin added to the union bound before it may skip the corridor series;
-# far above the series' rounding error, so no crossing is ever skipped
+_CHUNK = 1 << 15
+# margin on either side of the one-wall bracket of the corridor series before
+# the bracket may decide a path without it; far above the series' rounding
+# error, so no decision ever differs from the series'
 _SCREEN_SLACK = 1e-6
 
 
@@ -70,7 +84,9 @@ class SimConfig:
     chunks' ``SeedSequence``, so 0 <= seed < 2**64).
 
     Paths take one step per block, which is exact on the boundary's linear
-    segments thanks to the bridge correction.
+    segments thanks to the bridge correction.  They run in chunks of 2**15
+    on one worker thread per usable CPU; the counts depend on the seed and
+    the path count alone, not on the number of CPUs.
     """
 
     paths: int
@@ -133,31 +149,39 @@ def _step_crossed(x0, x1, u, g0: float, g1: float, dt: float, symmetric: bool, c
     """Mask, written into ``crossed``, of the live paths moving x0 -> x1 over
     one step that hit the segment g0 -> g1: endpoint breaches, then inside
     paths whose uniform ``u`` falls below their pinned-bridge crossing
-    probability.  On the corridor ``work`` holds two scratch arrays of the
-    paths' length; the upper side needs none.
+    probability.  On the corridor ``work`` holds two float scratch arrays
+    and one boolean one of the paths' length; the upper side needs none.
 
     The factors are taken at ``x1`` clipped to the walls in place, which
     leaves inside paths as they are and keeps every exponent <= 0 on
     breached ones.  On the upper side the factor is written over ``x0``; a
     breached path, clipped onto the wall, has the factor exp(-0) = 1 > u, so
     ``u < factor`` is the whole test.  On the corridor the breaches are
-    tested first and the two one-wall factors screen the image series
-    (module docstring); the lower wall's factor is the upper one of the
-    mirrored segment -g0 -> -g1, bit for bit, since negation is exact."""
+    tested first and the one-wall factors bracket the image series from
+    both sides (module docstring); the lower wall's factor is the upper one
+    of the mirrored segment -g0 -> -g1, bit for bit, since negation is
+    exact."""
     if not symmetric:
         np.minimum(x1, g1, out=x1)
         return np.less(u, bridge_crossing_upper(x0, x1, g0, g1, dt, out=x0), out=crossed)
-    bound, lower = work
+    bound, lower, flag = work
     # |x1| is exact, so |x1| >= g1 is the breach of either wall
     np.greater_equal(np.absolute(x1, out=bound), g1, out=crossed)
     np.clip(x1, -g1, g1, out=x1)
     bridge_crossing_upper(x0, x1, g0, g1, dt, out=bound)
     bound += bridge_crossing_upper(x0, x1, -g0, -g1, dt, out=lower)
     bound += _SCREEN_SLACK
-    near = np.flatnonzero(u < bound)
-    near = near[~crossed[near]]
+    # inside paths with u below the factors' sum plus the slack; the rest survive
+    near = np.flatnonzero(np.greater(np.less(u, bound, out=flag), crossed, out=flag))
     if near.size:
-        crossed[near] = u[near] < bridge_crossing_symmetric(x0[near], x1[near], g0, g1, dt)
+        x0, x1, u = x0[near], x1[near], u[near]
+        # a path below the larger one-wall factor less the slack has crossed
+        top = np.maximum(bridge_crossing_upper(x0, x1, g0, g1, dt), lower[near])
+        hit = u < top - _SCREEN_SLACK
+        rest = np.flatnonzero(~hit)
+        if rest.size:
+            hit[rest] = u[rest] < bridge_crossing_symmetric(x0[rest], x1[rest], g0, g1, dt)
+        crossed[near] = hit
     return crossed
 
 
@@ -185,7 +209,7 @@ def _simulate_chunk(
     normals = np.empty(count)
     uniforms = np.empty(count)
     crossed = np.empty(count, dtype=bool)
-    work = [np.empty(count) for _ in range(2 if symmetric else 0)]
+    work = (np.empty(count), np.empty(count), np.empty(count, dtype=bool)) if symmetric else ()
     sqdt = math.sqrt(dt)
     for m in range(b.grid.blocks):
         n = x.size
@@ -204,11 +228,20 @@ def _simulate_chunk(
             hits[m] += dead
             if dead == n:
                 break
-            x = x1[~mask]
+            x = x1[np.logical_not(mask, out=mask)]
         else:
             # the old positions' array, at least n long, takes the next draws
             normals, x = x, x1
     return hits
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def simulate_hitting_times(
@@ -220,16 +253,38 @@ def simulate_hitting_times(
     is sampled with the exact pinned-bridge crossing probability of the
     linear segment, so the block-level law is exact up to sampling noise.
     On the symmetric side the corridor's image series runs only for paths
-    whose uniform lies below the sum of the two one-wall factors plus a
-    1e-6 slack; the rest cannot cross, so the counts are those the full
-    series gives.
+    whose uniform lies between the larger one-wall factor less a 1e-6
+    slack and the sum of both plus that slack; below, a path has crossed,
+    above, it has not, so the counts are those the full series gives.
     The paths run in chunks of ``_CHUNK``, the c-th on the SFC64 child
-    stream ``SeedSequence(seed, spawn_key=(c,))``, so the counts depend only
-    on the seed and the path count.
+    stream ``SeedSequence(seed, spawn_key=(c,))``.  One worker thread per
+    usable CPU, at most one per chunk, takes the chunks in turn; the counts
+    are exact integer sums, so they depend only on the seed and the path
+    count.
     """
-    hits = np.zeros(b.grid.blocks, dtype=np.int64)
-    for c, start in enumerate(range(0, cfg.paths, _CHUNK)):
-        hits += _simulate_chunk(b, cfg, c, min(_CHUNK, cfg.paths - start))
+    sizes = [min(_CHUNK, cfg.paths - start) for start in range(0, cfg.paths, _CHUNK)]
+    workers = min(_usable_cpus(), len(sizes))
+    chunks = iter(range(len(sizes)))
+    lock = threading.Lock()
+
+    def work() -> np.ndarray:
+        # the next chunk no worker has taken, until none is left
+        hits = np.zeros(b.grid.blocks, dtype=np.int64)
+        while True:
+            with lock:
+                c = next(chunks, None)
+            if c is None:
+                return hits
+            hits += _simulate_chunk(b, cfg, c, sizes[c])
+
+    # the calling thread is the first worker: its scratch arrays reuse memory
+    # the process already holds, where a pool thread's come from fresh pages
+    # (glibc gives each thread its own malloc arena)
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        hits = work()
+        for helper in helpers:
+            hits += helper.result()
     return EmpiricalHittingDistribution(
         times=b.grid.knots.copy(),
         hits=hits,

@@ -206,7 +206,7 @@ class TestSimulateCommand:
         run("inverse", "--target", "exp:1", "--T", 1, "--n", 3, "--side", side,
             "--out", tmp_path)
         written = []
-        for seed, name in [(3, "a"), (3, "b"), (4, "c")]:  # 70 000 paths: two chunks
+        for seed, name in [(3, "a"), (3, "b"), (4, "c")]:  # 70 000 paths: three chunks
             assert run("simulate", "--boundary", tmp_path / "boundary.csv", "--paths",
                        70_000, "--seed", seed, "--out", tmp_path / name) == 0
             written.append((tmp_path / name / "empirical.csv").read_bytes())

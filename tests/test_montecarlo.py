@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -63,22 +65,64 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "side, hits",
         [
-            (BoundarySide.UPPER_ONLY, [707, 6070, 8521, 8251, 7321, 6328, 5482, 4932]),
-            (BoundarySide.SYMMETRIC, [1434, 12430, 17051, 16542, 14525, 12441, 10652, 9360]),
+            (BoundarySide.UPPER_ONLY, [690, 6176, 8515, 8274, 7326, 6352, 5473, 4819]),
+            (BoundarySide.SYMMETRIC, [1444, 12281, 17196, 16372, 14510, 12577, 10970, 9176]),
         ],
     )
     def test_counts_are_the_sum_of_the_chunk_streams(self, side, hits):
-        # 150 000 paths are chunks 0 and 1 of 65 536 and chunk 2 of 18 928,
+        # 150 000 paths are chunks 0..3 of 32 768 and chunk 4 of 18 928,
         # each on its own SFC64 child stream of the seed; the pinned counts
         # fix that layout
         b = const_boundary(side, 3)
         cfg = SimConfig(paths=150_000, seed=3)
         chunks = sum(
-            _simulate_chunk(b, cfg, c, n) for c, n in enumerate([65_536, 65_536, 18_928])
+            _simulate_chunk(b, cfg, c, n) for c, n in enumerate([32_768] * 4 + [18_928])
         )
         emp = simulate_hitting_times(b, cfg)
         assert np.array_equal(emp.hits, chunks)
         assert emp.hits.tolist() == hits
+
+    @pytest.mark.parametrize("side", [BoundarySide.UPPER_ONLY, BoundarySide.SYMMETRIC])
+    def test_counts_do_not_depend_on_the_worker_count(self, side, monkeypatch):
+        # five chunks on one, two or three worker threads
+        b = const_boundary(side, 3)
+        cfg = SimConfig(paths=150_000, seed=3)
+        counts = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+            counts.append(simulate_hitting_times(b, cfg).hits)
+        assert all(np.array_equal(c, counts[0]) for c in counts)
+
+    def test_every_chunk_is_taken_once_by_more_workers_than_cpus(self, monkeypatch):
+        # 157 chunks of 256 paths shared by eight workers that switch every
+        # microsecond: a chunk taken twice or never changes the sum
+        b = const_boundary(BoundarySide.SYMMETRIC, 3)
+        cfg = SimConfig(paths=40_000, seed=8)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 256)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+        sizes = [min(256, cfg.paths - start) for start in range(0, cfg.paths, 256)]
+        want = sum(_simulate_chunk(b, cfg, c, n) for c, n in enumerate(sizes))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate_hitting_times(b, cfg).hits
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, want)
+
+    def test_two_workers_hold_what_one_held(self, monkeypatch):
+        # each worker holds its chunk's positions, draws, mask and, on the
+        # corridor, the screen's scratch arrays: 1.3 MiB a worker at 2**15
+        # paths a chunk, where one worker on 2**16-path chunks took 3.13 MiB
+        b = _solved_corridor(6)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        tracemalloc.start()
+        try:
+            simulate_hitting_times(b, SimConfig(paths=2**19, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * 2**20, peak / 2**20
 
     @pytest.mark.parametrize("paths", [montecarlo._CHUNK, montecarlo._CHUNK + 1])
     def test_chunk_edge(self, paths):
@@ -281,8 +325,10 @@ def _steep_corridor():
     )
 
 
-def _solved_corridor():
-    return construct_boundary(exponential_target(1.0), 1.0, 5, BoundarySide.SYMMETRIC).boundary
+def _solved_corridor(level=5):
+    return construct_boundary(
+        exponential_target(1.0), 1.0, level, BoundarySide.SYMMETRIC
+    ).boundary
 
 
 def _upper_line():
@@ -378,10 +424,12 @@ class TestScreenedBridge:
         sides=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
         depths=st.tuples(st.floats(0.0, 8.0), st.floats(0.0, 8.0)),
     )
-    def test_union_bound_covers_the_series(self, log2_dt, lead, slope_at, sides, depths):
+    def test_one_wall_factors_bracket_the_series(self, log2_dt, lead, slope_at, sides, depths):
         # walls between 0.05 sqrt(dt) and 8 (8 sigma at T = 1) with slopes up
         # to +-3e3; each endpoint lies 10**-depth of the half-width inside a
-        # wall, so large depths press it against that wall
+        # wall, so large depths press it against that wall.  Touching either
+        # wall is at least as likely as touching one and at most as likely
+        # as the two together: max(e_up, e_lo) <= p <= e_up + e_lo
         dt = 2.0**log2_dt
         floor = 0.05 * math.sqrt(dt)
         u0 = floor * (8.0 / floor) ** lead
@@ -389,11 +437,39 @@ class TestScreenedBridge:
         u1 = u0 + (lo + slope_at * (hi - lo)) * dt
         x0 = np.array([sides[0] * u0 * (1.0 - 10.0 ** -depths[0])])
         x1 = np.array([sides[1] * u1 * (1.0 - 10.0 ** -depths[1])])
-        p = bridge_crossing_symmetric(x0, x1, u0, u1, dt)
-        bound = bridge_crossing_upper(x0, x1, u0, u1, dt) + bridge_crossing_upper(
-            -x0, -x1, u0, u1, dt
+        p = bridge_crossing_symmetric(x0, x1, u0, u1, dt)[0]
+        e_up = bridge_crossing_upper(x0, x1, u0, u1, dt)[0]
+        e_lo = bridge_crossing_upper(-x0, -x1, u0, u1, dt)[0]
+        assert max(e_up, e_lo) - _SCREEN_SLACK / 100.0 <= p
+        assert p <= e_up + e_lo + _SCREEN_SLACK / 100.0
+
+    @pytest.mark.parametrize(
+        "x0, x1, u0, u1, dt",
+        [
+            (7.311102539306832, -7.272927294757092, 7.311102735210977, 7.273159053025078,
+             1.892302366831087e-05),
+            (-7.229747283543851, 7.188123763625017, 7.229747951570089, 7.19984806998361,
+             1.7455477653562836e-05),
+        ],
+        ids=["one-wall-factor-above-series", "series-above-factor-sum"],
+    )
+    def test_step_follows_the_series_inside_the_rounding_gap(self, x0, x1, u0, u1, dt):
+        # paths pressed against both walls, where rounding puts the larger
+        # one-wall factor 1.3e-9 above the series or the series 6.4e-10 above
+        # the factors' sum: a uniform between the two is decided by the series
+        # only because each screen keeps its slack
+        x0, x1 = np.array([x0]), np.array([x1])
+        p = bridge_crossing_symmetric(x0, x1, u0, u1, dt)[0]
+        e_up = bridge_crossing_upper(x0, x1, u0, u1, dt)[0]
+        e_lo = bridge_crossing_upper(-x0, -x1, u0, u1, dt)[0]
+        edge = max(e_up, e_lo) if max(e_up, e_lo) > p else e_up + e_lo
+        assert abs(edge - p) > 1e-10
+        u = np.array([0.5 * (p + edge)])
+        work = (np.empty(1), np.empty(1), np.empty(1, dtype=bool))
+        crossed = montecarlo._step_crossed(
+            x0, x1, u, u0, u1, dt, True, np.empty(1, dtype=bool), work
         )
-        assert p[0] <= bound[0] + _SCREEN_SLACK / 100.0
+        assert crossed[0] == (u[0] < p)
 
     def test_breached_paths_raise_no_overflow(self):
         # the corridor drops from 200 to 0.5 within dt = 1/8: a factor taken
